@@ -53,113 +53,117 @@ SimAuditor::violate(std::string invariant, RequestId req, std::string detail)
 // KV block ledger
 // ---------------------------------------------------------------------
 
+KvLedger &
+SimAuditor::kv_ledger(const std::string &owner)
+{
+    std::lock_guard<std::mutex> lock(mu_);
+    return kv_.try_emplace(owner, owner).first->second;
+}
+
 void
-SimAuditor::on_kv_alloc(const std::string &owner, RequestId id,
+SimAuditor::on_kv_alloc(KvLedger &led, RequestId id,
                         std::size_t tokens, std::size_t blocks, bool applied,
                         std::size_t mgr_used, std::size_t mgr_total)
 {
     std::lock_guard<std::mutex> lock(mu_);
     tick();
-    KvLedger &led = kv_[owner];
-    if (led.used != mgr_used) {
+    if (led.used_ != mgr_used) {
         std::ostringstream os;
-        os << owner << ": shadow used " << led.used
+        os << led.owner_ << ": shadow used " << led.used_
            << " != manager used " << mgr_used;
         violate("kv-conservation", id, os.str());
     }
-    if (led.blocks.count(id)) {
+    if (led.blocks_.count(id)) {
         std::ostringstream os;
-        os << owner << ": allocate of " << tokens
-           << " tokens while already holding " << led.blocks[id]
+        os << led.owner_ << ": allocate of " << tokens
+           << " tokens while already holding " << led.blocks_[id]
            << " blocks";
         violate("kv-double-alloc", id, os.str());
         return;
     }
     if (!applied)
         return; // rejected for capacity; nothing changed
-    led.blocks[id] = blocks;
-    led.used += blocks;
-    if (led.used > mgr_total) {
+    led.blocks_[id] = blocks;
+    led.used_ += blocks;
+    if (led.used_ > mgr_total) {
         std::ostringstream os;
-        os << owner << ": " << led.used << " blocks allocated of "
+        os << led.owner_ << ": " << led.used_ << " blocks allocated of "
            << mgr_total;
         violate("kv-overcommit", id, os.str());
     }
 }
 
 void
-SimAuditor::on_kv_grow(const std::string &owner, RequestId id,
+SimAuditor::on_kv_grow(KvLedger &led, RequestId id,
                        std::size_t new_tokens, std::size_t new_blocks,
                        bool applied, std::size_t mgr_used,
                        std::size_t mgr_total)
 {
     std::lock_guard<std::mutex> lock(mu_);
     tick();
-    KvLedger &led = kv_[owner];
-    if (led.used != mgr_used) {
+    if (led.used_ != mgr_used) {
         std::ostringstream os;
-        os << owner << ": shadow used " << led.used
+        os << led.owner_ << ": shadow used " << led.used_
            << " != manager used " << mgr_used;
         violate("kv-conservation", id, os.str());
     }
-    auto it = led.blocks.find(id);
-    if (it == led.blocks.end()) {
+    auto it = led.blocks_.find(id);
+    if (it == led.blocks_.end()) {
         std::ostringstream os;
-        os << owner << ": grow to " << new_tokens
+        os << led.owner_ << ": grow to " << new_tokens
            << " tokens of an id holding nothing";
         violate("kv-grow-unknown", id, os.str());
         return;
     }
     if (new_blocks < it->second) {
         std::ostringstream os;
-        os << owner << ": grow shrank " << it->second << " -> "
+        os << led.owner_ << ": grow shrank " << it->second << " -> "
            << new_blocks << " blocks";
         violate("kv-shrink", id, os.str());
         return;
     }
     if (!applied)
         return;
-    led.used += new_blocks - it->second;
+    led.used_ += new_blocks - it->second;
     it->second = new_blocks;
-    if (led.used > mgr_total) {
+    if (led.used_ > mgr_total) {
         std::ostringstream os;
-        os << owner << ": " << led.used << " blocks allocated of "
+        os << led.owner_ << ": " << led.used_ << " blocks allocated of "
            << mgr_total;
         violate("kv-overcommit", id, os.str());
     }
 }
 
 void
-SimAuditor::on_kv_release(const std::string &owner, RequestId id,
+SimAuditor::on_kv_release(KvLedger &led, RequestId id,
                           std::size_t blocks_freed, bool known,
                           std::size_t mgr_used)
 {
     std::lock_guard<std::mutex> lock(mu_);
     tick();
-    KvLedger &led = kv_[owner];
-    if (led.used != mgr_used) {
+    if (led.used_ != mgr_used) {
         std::ostringstream os;
-        os << owner << ": shadow used " << led.used
+        os << led.owner_ << ": shadow used " << led.used_
            << " != manager used " << mgr_used;
         violate("kv-conservation", id, os.str());
     }
-    auto it = led.blocks.find(id);
-    if (it == led.blocks.end() || !known) {
+    auto it = led.blocks_.find(id);
+    if (it == led.blocks_.end() || !known) {
         std::ostringstream os;
-        os << owner << ": release of an id holding nothing (shadow "
-           << (it == led.blocks.end() ? "agrees" : "disagrees") << ")";
+        os << led.owner_ << ": release of an id holding nothing (shadow "
+           << (it == led.blocks_.end() ? "agrees" : "disagrees") << ")";
         violate("kv-double-free", id, os.str());
-        if (it == led.blocks.end())
+        if (it == led.blocks_.end())
             return;
     }
     if (known && it->second != blocks_freed) {
         std::ostringstream os;
-        os << owner << ": manager freed " << blocks_freed
+        os << led.owner_ << ": manager freed " << blocks_freed
            << " blocks, shadow recorded " << it->second;
         violate("kv-conservation", id, os.str());
     }
-    led.used -= it->second;
-    led.blocks.erase(it);
+    led.used_ -= it->second;
+    led.blocks_.erase(it);
 }
 
 // ---------------------------------------------------------------------
@@ -396,16 +400,16 @@ SimAuditor::on_instance_crash(const std::string &owner, std::size_t mgr_used,
 {
     std::lock_guard<std::mutex> lock(mu_);
     tick();
-    KvLedger &led = kv_[owner];
-    if (mgr_used != 0 || led.used != 0 || !led.blocks.empty()) {
+    KvLedger &led = kv_.try_emplace(owner, owner).first->second;
+    if (mgr_used != 0 || led.used_ != 0 || !led.blocks_.empty()) {
         std::ostringstream os;
         os << owner << ": post-crash residue — manager " << mgr_used
-           << " blocks, shadow " << led.used << " blocks over "
-           << led.blocks.size() << " holders";
+           << " blocks, shadow " << led.used_ << " blocks over "
+           << led.blocks_.size() << " holders";
         violate("crash-kv-leak", 0, os.str());
     }
-    led.blocks.clear();
-    led.used = 0;
+    led.blocks_.clear();
+    led.used_ = 0;
     PoolLedger &pled = pools_[owner];
     if (pool_used > 1.0 || pled.used > 1.0 || !pled.bytes.empty()) {
         std::ostringstream os;
@@ -623,7 +627,7 @@ SimAuditor::finish_run(const std::vector<Request> &requests,
     // in any ledger: its KV blocks and host-pool bytes must have been
     // returned.
     for (const auto &[owner, led] : kv_) {
-        for (const auto &[id, blocks] : led.blocks) {
+        for (const auto &[id, blocks] : led.blocks_) {
             if (terminal_ids.count(id)) {
                 std::ostringstream os;
                 os << owner << ": terminal request still holds " << blocks

@@ -97,6 +97,24 @@ class InvariantViolation : public std::runtime_error
     Violation v_;
 };
 
+/**
+ * One owner's shadow KV ledger. SimAuditor::kv_ledger() hands out a
+ * reference that stays valid for the auditor's lifetime, so a
+ * BlockManager resolves its owner once and its hooks skip the by-name
+ * lookup. Only the auditor reads or writes the contents.
+ */
+class KvLedger
+{
+  public:
+    explicit KvLedger(std::string owner) : owner_(std::move(owner)) {}
+
+  private:
+    friend class SimAuditor;
+    std::string owner_;
+    std::unordered_map<workload::RequestId, std::size_t> blocks_;
+    std::size_t used_ = 0;
+};
+
 /** See file comment. */
 class SimAuditor
 {
@@ -108,23 +126,27 @@ class SimAuditor
     SimAuditor &operator=(const SimAuditor &) = delete;
 
     // ------------------------------------------------------------------
-    // KV block ledger (BlockManager hooks). @p owner is the instance
-    // name; @p mgr_used is the manager's used-block count BEFORE the
-    // operation applies, cross-checked against the shadow ledger.
+    // KV block ledger (BlockManager hooks). @p led is the instance's
+    // ledger from kv_ledger(); @p mgr_used is the manager's used-block
+    // count BEFORE the operation applies, cross-checked against it.
     // ------------------------------------------------------------------
 
-    void on_kv_alloc(const std::string &owner, workload::RequestId id,
+    /** The shadow ledger of @p owner (the instance name), created on
+     *  first use. Managers that share an owner share its ledger. */
+    KvLedger &kv_ledger(const std::string &owner);
+
+    void on_kv_alloc(KvLedger &led, workload::RequestId id,
                      std::size_t tokens, std::size_t blocks, bool applied,
                      std::size_t mgr_used, std::size_t mgr_total);
 
     /** @p new_tokens / @p new_blocks are the request's totals after the
      *  grow (not deltas). */
-    void on_kv_grow(const std::string &owner, workload::RequestId id,
+    void on_kv_grow(KvLedger &led, workload::RequestId id,
                     std::size_t new_tokens, std::size_t new_blocks,
                     bool applied, std::size_t mgr_used,
                     std::size_t mgr_total);
 
-    void on_kv_release(const std::string &owner, workload::RequestId id,
+    void on_kv_release(KvLedger &led, workload::RequestId id,
                        std::size_t blocks_freed, bool known,
                        std::size_t mgr_used);
 
@@ -272,10 +294,6 @@ class SimAuditor
     const AuditConfig &config() const { return cfg_; }
 
   private:
-    struct KvLedger {
-        std::unordered_map<workload::RequestId, std::size_t> blocks;
-        std::size_t used = 0;
-    };
     struct PoolLedger {
         std::unordered_map<workload::RequestId, double> bytes;
         double used = 0.0;
@@ -307,7 +325,8 @@ class SimAuditor
     std::uint64_t total_violations_ = 0;
     std::vector<Violation> violations_;
 
-    // std::map keeps report() ordering deterministic across platforms.
+    // std::map keeps report() ordering deterministic across platforms;
+    // its nodes never move, so kv_ledger() references stay valid.
     std::map<std::string, KvLedger> kv_;
     std::map<std::string, PoolLedger> pools_;
     std::map<std::string,

@@ -228,15 +228,15 @@ ClusterServeSystem::home_of(const Request *r) const
     return it == home_pod_.end() ? 0 : it->second;
 }
 
-std::vector<bool>
-ClusterServeSystem::live_pods() const
+const std::vector<bool> &
+ClusterServeSystem::live_pods()
 {
-    std::vector<bool> live(pods_.size());
+    live_.resize(pods_.size());
     for (std::size_t k = 0; k < pods_.size(); ++k) {
-        live[k] = !(pods_[k]->prefill_instance().is_down() &&
-                    pods_[k]->decode_instance().is_down());
+        live_[k] = !(pods_[k]->prefill_instance().is_down() &&
+                     pods_[k]->decode_instance().is_down());
     }
-    return live;
+    return live_;
 }
 
 void
@@ -255,8 +255,7 @@ ClusterServeSystem::on_arrival(Request *r)
 void
 ClusterServeSystem::admit_arrival(Request *r)
 {
-    std::vector<bool> live = live_pods();
-    std::size_t k = balancer_.route(tokens_of(r), &live);
+    std::size_t k = balancer_.route(tokens_of(r), &live_pods());
     home_pod_[r->id] = k;
     pods_[k]->on_arrival(r);
 }
@@ -376,8 +375,8 @@ ClusterServeSystem::maybe_redispatch_remote(Pod &src, Request *r)
     if (!src.prefill_instance().is_down() ||
         !src.decode_instance().is_down())
         return false;
-    std::vector<bool> live = live_pods();
-    std::size_t dst = balancer_.least_loaded_except(src.index(), &live);
+    std::size_t dst =
+        balancer_.least_loaded_except(src.index(), &live_pods());
     if (dst == CrossPodBalancer::npos)
         return false;
     ++cross_redispatches_;

@@ -209,8 +209,9 @@ class ClusterServeSystem : public engine::ServingSystem
     }
     std::size_t home_of(const workload::Request *r) const;
     static double tokens_of(const workload::Request *r);
-    /** Pods whose instances are not both down. */
-    std::vector<bool> live_pods() const;
+    /** Pods whose instances are not both down, refilled into live_
+     *  on each call (hub thread only). */
+    const std::vector<bool> &live_pods();
 
     ClusterConfig cfg_;
     sim::Simulator sim_; ///< hub LP: arrivals, balancer, NICs, faults
@@ -234,6 +235,8 @@ class ClusterServeSystem : public engine::ServingSystem
     /** Egress NIC per node (absent for a single-node cluster). */
     std::vector<std::unique_ptr<hw::SharedChannel>> nics_;
     CrossPodBalancer balancer_;
+    /** live_pods() buffer, reused across admissions and re-dispatches. */
+    std::vector<bool> live_;
     std::map<const engine::Instance *, Pod *> pod_of_instance_;
     /** Current owning pod per in-flight request. */
     std::map<workload::RequestId, std::size_t> home_pod_;

@@ -76,7 +76,6 @@ void ControlPlane::propose(CommandKind kind, std::uint64_t request,
 {
     std::uint64_t seq = ++seq_counter_;
     pending_.emplace(seq, Intent{kind, request, std::move(apply)});
-    ++unapplied_;
     if (stopped_)
         return;
     std::size_t l = leader();
@@ -330,7 +329,7 @@ void ControlPlane::append_unappended(std::size_t k)
         return;
     std::uint64_t term = r.elect.term();
     for (auto &[seq, intent] : pending_) {
-        if (intent.applied || intent.appended_term >= term)
+        if (intent.appended_term >= term)
             continue;
         if (intent.appended_term > 0)
             ++reproposals_; // re-proposed across a leader change
@@ -476,16 +475,16 @@ void ControlPlane::apply_entry(const LogEntry &e)
     if (e.seq == 0)
         return; // NoOp barrier
     auto it = pending_.find(e.seq);
-    if (it == pending_.end() || it->second.applied)
+    if (it == pending_.end())
         return; // duplicate entry for an already-applied intent
-    Intent &intent = it->second;
-    intent.applied = true;
-    --unapplied_;
+    // Erase before running the closure: a reentrant propose() then
+    // sees only unapplied intents, and @p e (a log reference) is not
+    // touched again once the closure may have grown the log.
+    auto apply = std::move(it->second.apply);
+    pending_.erase(it);
     ++applies_;
     if (audit_)
         audit_->on_ctrl_apply(e.seq, e.request);
-    auto apply = std::move(intent.apply);
-    intent.apply = nullptr;
     if (apply)
         apply();
 }

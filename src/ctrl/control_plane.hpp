@@ -23,10 +23,11 @@
  *    leader's current term; commit applies entries in log order.
  *
  * Client intents (propose()) are exactly-once: each gets a unique seq
- * and its apply closure fires on the first commit of that seq; later
- * duplicate log entries for the same seq (a re-proposal across a
- * leader change) are deduplicated. An intent proposed while no leader
- * is up waits in the pending set and is appended by the next leader.
+ * and its apply closure fires on the first commit of that seq, which
+ * also erases the intent from the pending set; later duplicate log
+ * entries for the same seq (a re-proposal across a leader change) find
+ * no intent and are dropped. An intent proposed while no leader is up
+ * waits in the pending set and is appended by the next leader.
  *
  * Failover time is measured from the moment the acting leader crashes
  * (or is partitioned away) to the first commit-index advance
@@ -153,8 +154,9 @@ class ControlPlane
     std::uint64_t partitions() const { return partitions_; }
     std::uint64_t failovers() const { return failovers_; }
     std::uint64_t reproposals() const { return reproposals_; }
-    /** Intents proposed but not yet applied. */
-    std::uint64_t pending_intents() const { return unapplied_; }
+    /** Intents proposed but not yet applied — all the plane retains;
+     *  an intent is erased the moment it applies. */
+    std::uint64_t pending_intents() const { return pending_.size(); }
     const sim::Sample &failover_latency() const { return failover_latency_; }
 
   private:
@@ -163,7 +165,6 @@ class ControlPlane
         CommandKind kind;
         std::uint64_t request;
         std::function<void()> apply;
-        bool applied = false;
         /** Term of the leader that last appended this intent (0 =
          *  never appended); a new leader re-appends iff < its term. */
         std::uint64_t appended_term = 0;
@@ -228,10 +229,11 @@ class ControlPlane
     sim::Simulator &sim_;
     ControlPlaneConfig cfg_;
     std::vector<std::unique_ptr<Replica>> replicas_;
-    /** Intents by seq (ordered: leaders append in proposal order). */
+    /** Unapplied intents by seq (ordered: leaders append in proposal
+     *  order). Applying erases, so the size tracks in-flight work and
+     *  a duplicate entry for an applied seq finds nothing. */
     std::map<std::uint64_t, Intent> pending_;
     std::uint64_t seq_counter_ = 0;
-    std::uint64_t unapplied_ = 0;
     KvDirectory directory_;
     bool started_ = false;
     bool stopped_ = false;

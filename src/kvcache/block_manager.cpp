@@ -33,7 +33,7 @@ BlockManager::allocate(ReqId id, std::size_t tokens)
     bool fresh = per_req_.count(id) == 0;
     bool fits = need <= free_blocks();
     if (audit_) {
-        audit_->on_kv_alloc(audit_owner_, id, tokens, need, fresh && fits,
+        audit_->on_kv_alloc(*audit_ledger_, id, tokens, need, fresh && fits,
                             used_blocks_, total_blocks_);
     }
     if (!fresh)
@@ -57,7 +57,7 @@ BlockManager::grow(ReqId id, std::size_t new_tokens)
         known && need > it->second.blocks ? need - it->second.blocks : 0;
     bool fits = extra <= free_blocks();
     if (audit_) {
-        audit_->on_kv_grow(audit_owner_, id, new_tokens, need,
+        audit_->on_kv_grow(*audit_ledger_, id, new_tokens, need,
                            known && growing && fits, used_blocks_,
                            total_blocks_);
     }
@@ -80,7 +80,7 @@ BlockManager::release(ReqId id)
     auto it = per_req_.find(id);
     bool known = it != per_req_.end();
     if (audit_) {
-        audit_->on_kv_release(audit_owner_, id,
+        audit_->on_kv_release(*audit_ledger_, id,
                               known ? it->second.blocks : 0, known,
                               used_blocks_);
     }
@@ -125,10 +125,10 @@ BlockManager::occupancy() const
 }
 
 void
-BlockManager::set_audit(audit::SimAuditor *a, std::string owner)
+BlockManager::set_audit(audit::SimAuditor *a, const std::string &owner)
 {
     audit_ = a;
-    audit_owner_ = std::move(owner);
+    audit_ledger_ = a ? &a->kv_ledger(owner) : nullptr;
 }
 
 } // namespace windserve::kvcache

@@ -16,6 +16,7 @@
 #include <vector>
 
 namespace windserve::audit {
+class KvLedger;
 class SimAuditor;
 }
 
@@ -88,12 +89,13 @@ class BlockManager
 
     /**
      * Report every allocate/grow/release to @p a under @p owner (the
-     * instance name). nullptr (the default) disables auditing. Hooks
-     * fire BEFORE the operation applies — and before the manager's own
-     * logic_error throws — so the auditor can attach the repro seed to
-     * the first inconsistent event.
+     * instance name). nullptr (the default) disables auditing. The
+     * owner's shadow ledger is resolved here, once. Hooks fire BEFORE
+     * the operation applies — and before the manager's own logic_error
+     * throws — so the auditor can attach the repro seed to the first
+     * inconsistent event.
      */
-    void set_audit(audit::SimAuditor *a, std::string owner);
+    void set_audit(audit::SimAuditor *a, const std::string &owner);
 
   private:
     struct Alloc {
@@ -107,7 +109,7 @@ class BlockManager
     std::size_t total_tokens_ = 0;
     std::unordered_map<ReqId, Alloc> per_req_;
     audit::SimAuditor *audit_ = nullptr;
-    std::string audit_owner_;
+    audit::KvLedger *audit_ledger_ = nullptr;
 };
 
 } // namespace windserve::kvcache

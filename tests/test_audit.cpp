@@ -196,6 +196,66 @@ TEST(AuditKv, CapacityRejectionIsNotAViolation)
     EXPECT_GE(aud.events_audited(), 4u);
 }
 
+TEST(AuditKv, LedgerHandlesKeepOwnersApart)
+{
+    // Two managers on one auditor, attached out of name order. Each
+    // resolves its own ledger once; a fault on one names that owner and
+    // leaves the other's ledger clean.
+    sim::Simulator s;
+    au::AuditConfig cfg = repro_cfg();
+    cfg.fail_fast = false;
+    au::SimAuditor aud(s, cfg);
+    kv::BlockManager zeta(64);
+    kv::BlockManager alpha(64);
+    zeta.set_audit(&aud, "pod1/decode0");
+    alpha.set_audit(&aud, "pod0/decode0");
+    EXPECT_EQ(&aud.kv_ledger("pod1/decode0"), &aud.kv_ledger("pod1/decode0"));
+    EXPECT_NE(&aud.kv_ledger("pod1/decode0"), &aud.kv_ledger("pod0/decode0"));
+
+    ASSERT_TRUE(zeta.allocate(1, 100));
+    ASSERT_TRUE(alpha.allocate(1, 100));
+    zeta.set_audit(nullptr, "");
+    ASSERT_TRUE(zeta.allocate(2, 100)); // invisible to zeta's ledger
+    zeta.set_audit(&aud, "pod1/decode0");
+    ASSERT_TRUE(zeta.allocate(3, 16));
+    ASSERT_EQ(aud.total_violations(), 1u);
+    EXPECT_EQ(aud.violations()[0].invariant, "kv-conservation");
+    EXPECT_EQ(aud.violations()[0].req, 3u);
+    EXPECT_EQ(aud.violations()[0].detail.rfind("pod1/decode0: ", 0), 0u)
+        << aud.violations()[0].detail;
+
+    // The other ledger still agrees with its manager at every step.
+    ASSERT_TRUE(alpha.grow(1, 200));
+    ASSERT_TRUE(alpha.allocate(4, 32));
+    alpha.release(4);
+    EXPECT_EQ(aud.total_violations(), 1u);
+
+    // End-of-run residue is reported owner by owner in name order,
+    // whatever order the managers attached in.
+    wl::Request done;
+    done.id = 1;
+    done.output_tokens = 5;
+    done.generated = 5;
+    done.state = RequestState::Finished;
+    done.arrival_time = 1.0;
+    done.prefill_enqueue_time = 1.0;
+    done.prefill_start_time = 1.5;
+    done.first_token_time = 2.0;
+    done.decode_enqueue_time = 2.2;
+    done.decode_start_time = 2.5;
+    done.finish_time = 4.0;
+    aud.finish_run({done}, 1, 0);
+    ASSERT_EQ(aud.total_violations(), 3u) << aud.report();
+    EXPECT_EQ(aud.violations()[1].invariant, "kv-leak");
+    EXPECT_EQ(aud.violations()[2].invariant, "kv-leak");
+    std::string rep = aud.report();
+    std::size_t p0 = rep.find("pod0/decode0: terminal request");
+    std::size_t p1 = rep.find("pod1/decode0: terminal request");
+    ASSERT_NE(p0, std::string::npos) << rep;
+    ASSERT_NE(p1, std::string::npos) << rep;
+    EXPECT_LT(p0, p1) << rep;
+}
+
 // ---------------------------------------------------------------------
 // host swap pool
 // ---------------------------------------------------------------------

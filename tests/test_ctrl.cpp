@@ -15,6 +15,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <fstream>
 #include <map>
@@ -313,6 +314,73 @@ TEST(ControlPlane, PartitionHealsWithExactlyOnceApplies)
     // every live replica reaches the full commit index.
     for (std::size_t k = 0; k < cp.num_replicas(); ++k)
         EXPECT_GE(cp.commit_index_of(k), kIntents);
+}
+
+TEST(ControlPlane, AppliedIntentsAreNotRetained)
+{
+    // Thousands of intents through a leader crash, with reentrant
+    // proposals from inside apply closures. The plane must hold only
+    // the unapplied intents at every apply — retaining applied ones
+    // made each propose and heartbeat walk the whole history — and
+    // still apply each intent exactly once.
+    sim::Simulator sim;
+    ctrl::ControlPlane cp(sim, standalone_config(3, 5));
+    cp.start();
+
+    constexpr std::size_t kIntents = 3000;
+    constexpr std::size_t kReentrantEvery = 100;
+    constexpr std::size_t kCrashAt = kIntents / 2;
+    std::vector<int> applied(kIntents, 0);
+    std::vector<int> followups(kIntents / kReentrantEvery, 0);
+    std::uint64_t proposed = 0;
+    std::uint64_t applies_seen = 0;
+    std::uint64_t retained_mismatches = 0;
+    std::uint64_t max_pending = 0;
+
+    auto on_apply = [&] {
+        ++applies_seen;
+        if (cp.pending_intents() != proposed - applies_seen)
+            ++retained_mismatches;
+        max_pending = std::max(max_pending, cp.pending_intents());
+    };
+    for (std::size_t i = 0; i < kIntents; ++i)
+        sim.schedule(0.5 + 0.002 * static_cast<double>(i), [&, i] {
+            ++proposed;
+            cp.propose(ctrl::CommandKind::Admit, i, [&, i] {
+                ++applied[i];
+                on_apply();
+                if (i % kReentrantEvery != 0)
+                    return;
+                // Reentrant: runs right after this intent was erased,
+                // while the commit loop is still walking the log.
+                ++proposed;
+                std::size_t f = i / kReentrantEvery;
+                cp.propose(ctrl::CommandKind::Offload, kIntents + f,
+                           [&, f] {
+                               ++followups[f];
+                               on_apply();
+                           });
+            });
+            if (i == kCrashAt)
+                cp.on_leader_crash(2.0, 0); // mid-dispatch
+        });
+    sim.run_until(30.0);
+
+    EXPECT_EQ(cp.leader_crashes(), 1u);
+    EXPECT_GE(cp.failovers(), 1u);
+    EXPECT_GE(cp.reproposals(), 1u);
+    for (std::size_t i = 0; i < kIntents; ++i)
+        ASSERT_EQ(applied[i], 1) << "intent " << i;
+    for (std::size_t f = 0; f < followups.size(); ++f)
+        ASSERT_EQ(followups[f], 1) << "follow-up " << f;
+    EXPECT_EQ(proposed, kIntents + followups.size());
+    EXPECT_EQ(cp.applies(), proposed);
+    EXPECT_EQ(applies_seen, proposed);
+    EXPECT_EQ(retained_mismatches, 0u);
+    EXPECT_EQ(cp.pending_intents(), 0u);
+    // Bounded by in-flight work (the leaderless gap), not by history.
+    EXPECT_GT(max_pending, 0u);
+    EXPECT_LT(max_pending, kIntents / 10);
 }
 
 // ---------------------------------------------------------------------
