@@ -2,22 +2,24 @@
  * @file
  * Replay a workload trace from CSV and export full results.
  *
- * Pipeline: load (or synthesise) a trace -> run a serving system with a
- * timeline recorder attached -> write per-request results and the
- * time-series to CSV for offline analysis/plotting.
+ * Pipeline: load (or synthesise) a trace -> run a serving system with
+ * telemetry sampled every simulated second -> write per-request results
+ * and the sampled metric series to CSV for offline analysis/plotting.
  *
  * Usage:
  *   trace_replay                         # synthesise a demo trace
  *   trace_replay my_trace.csv            # replay your own trace
- *   trace_replay my_trace.csv results.csv timeline.csv trace.json
+ *   trace_replay my_trace.csv results.csv metrics.csv trace.json
  *
- * The fourth output is a Chrome trace-event file (request/GPU/transfer
- * spans plus the timeline probes as counter tracks) — open it in
- * chrome://tracing or https://ui.perfetto.dev.
+ * The metrics CSV is the telemetry registry's long form
+ * (time,family,labels,value). The fourth output is a Chrome trace-event
+ * file (request/GPU/transfer spans plus the sampled metrics as counter
+ * tracks) — open it in chrome://tracing or https://ui.perfetto.dev.
  *
  * Trace schema: arrival_time,prompt_tokens,output_tokens (header and
  * '#' comments allowed; arrivals non-decreasing).
  */
+#include <algorithm>
 #include <fstream>
 #include <iostream>
 
@@ -55,49 +57,42 @@ main(int argc, char **argv)
     engine::RunOptions opts;
     opts.tracing = true;
     opts.slo = metrics::SloSpec::opt_13b_sharegpt();
-
-    metrics::TimelineRecorder timeline(sys.simulator(), 1.0);
-    timeline.add_probe("prefill_queue_tokens", [&] {
-        return static_cast<double>(
-            sys.prefill_instance().waiting_prefill_tokens());
-    });
-    timeline.add_probe("decode_running", [&] {
-        return static_cast<double>(
-            sys.decode_instance().running_decode_requests());
-    });
-    timeline.add_probe("decode_kv_occupancy", [&] {
-        return sys.decode_instance().blocks().occupancy();
-    });
-    timeline.start(3600.0);
+    obs::TelemetryConfig tel;
+    tel.sample_every = 1.0;
+    opts.telemetry = tel;
 
     auto run = sys.run(trace, opts);
-    timeline.stop();
 
+    const obs::MetricRegistry &reg = sys.telemetry()->registry();
+    auto peak = [&](const char *family, const char *labels) {
+        const std::vector<double> &v = reg.series(family, labels);
+        return v.empty() ? 0.0 : *std::max_element(v.begin(), v.end());
+    };
     std::cout << metrics::detailed_report(run.metrics) << "\n\n";
-    std::cout << "timeline peaks: prefill queue "
-              << timeline.peak("prefill_queue_tokens")
+    std::cout << "peaks: prefill queue "
+              << peak("ws_queue_tokens",
+                      "instance=\"prefill\",queue=\"prefill\"")
               << " tokens, decode batch "
-              << timeline.peak("decode_running")
+              << peak("ws_queue_requests",
+                      "instance=\"decode\",queue=\"decode_running\"")
               << " requests, decode KV occupancy "
-              << metrics::fmt_percent(timeline.peak("decode_kv_occupancy"))
+              << metrics::fmt_percent(
+                     peak("ws_kv_block_util", "instance=\"decode\""))
               << "\n";
 
     const char *results_path =
         argc > 2 ? argv[2] : "/tmp/windserve_results.csv";
-    const char *timeline_path =
-        argc > 3 ? argv[3] : "/tmp/windserve_timeline.csv";
+    const char *metrics_path =
+        argc > 3 ? argv[3] : "/tmp/windserve_metrics.csv";
     const char *chrome_path =
         argc > 4 ? argv[4] : "/tmp/windserve_trace.json";
     workload::save_results_csv(results_path, run.requests);
-    std::ofstream tl(timeline_path);
-    tl << timeline.csv();
+    std::ofstream mc(metrics_path);
+    mc << reg.csv();
 
-    // Merge the probe series into the span trace so the queue/occupancy
-    // curves overlay the GPU timeline in Perfetto.
-    timeline.export_to(*sys.trace());
     std::ofstream chrome(chrome_path);
     sys.trace()->write_chrome_json(chrome);
-    std::cout << "wrote " << results_path << ", " << timeline_path
+    std::cout << "wrote " << results_path << ", " << metrics_path
               << " and " << chrome_path << " ("
               << sys.trace()->num_events()
               << " trace events; open in chrome://tracing)\n";

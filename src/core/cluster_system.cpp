@@ -26,8 +26,7 @@ make_cluster_topology(const ClusterConfig &cfg)
     return hw::Topology(tc);
 }
 
-/** Pod k's RNG stream; k = 0 keeps the base seed so a 1-pod cluster
- *  reproduces WindServeSystem byte-for-byte. */
+/** Pod k's RNG stream; k = 0 keeps the base seed. */
 std::uint64_t
 pod_seed(std::uint64_t base, std::size_t k)
 {
@@ -61,8 +60,7 @@ ClusterServeSystem::ClusterServeSystem(ClusterConfig cfg)
     // Multi-pod clusters are partitioned into logical processes: each
     // pod simulates on its own kernel; the hub (this->sim_) keeps the
     // arrivals, the balancer, the NIC fabric and the chaos engine. A
-    // 1-pod cluster shares the hub kernel — the historical (and
-    // WindServeSystem-identical) path.
+    // 1-pod cluster runs its pod on the hub kernel.
     if (multi) {
         ctl_latency_ = cluster_lookahead_floor(topo_);
         pod_sims_.reserve(total);

@@ -1,13 +1,14 @@
 /**
  * @file
- * ClusterServeSystem: WindServe sharded across a multi-node cluster.
+ * ClusterServeSystem: WindServe on `num_nodes` NVLink islands, each
+ * hosting `pods_per_node` pods (a pod = one prefill/decode pair with
+ * its own Global Scheduler — see core/pod.hpp). Every WindServe run
+ * goes through this class; WindServeSystem is its one-node, one-pod
+ * case.
  *
- * The cluster is `num_nodes` NVLink islands, each hosting
- * `pods_per_node` pods (a pod = one prefill/decode pair with its own
- * Global Scheduler — see core/pod.hpp). A CrossPodBalancer routes each
- * new request to the least-loaded pod; everything after admission
- * (dispatch, SBD, stall-free rescheduling, backups) stays pod-local.
- * Two explicit cross-pod paths exist:
+ * A CrossPodBalancer routes each new request to the least-loaded pod;
+ * everything after admission (dispatch, SBD, stall-free rescheduling,
+ * backups) stays pod-local. Two explicit cross-pod paths exist:
  *
  *  - decode offload: when a pod's decode KV pressure crosses the
  *    high-water mark (or its decode instance is down) at prefill
@@ -16,6 +17,10 @@
  *    copies contend — to the least-pressured remote pod;
  *  - crash re-dispatch: a victim whose home pod is fully down is
  *    recomputed at the least-loaded pod with a live instance.
+ *
+ * A single pod has neither: it runs on the hub simulator itself, with
+ * no NIC channels, no logical processes and unprefixed instance and
+ * channel names.
  *
  * Intra-run parallelism: a multi-pod cluster is partitioned into
  * logical processes — one sim::Simulator per pod, coordinated by a
@@ -30,16 +35,13 @@
  * lookahead later, when every pod's state at that timestamp is exact.
  * RunOptions::intra_threads picks the worker count; any value
  * (including 1) produces byte-identical results, because windows,
- * message order and hub decisions are all thread-independent. A
- * single-pod cluster keeps the historical shared-simulator path.
+ * message order and hub decisions are all thread-independent.
  *
  * Determinism: pod k runs on seed `base ^ (k * golden)` (pod 0 keeps
  * the base seed), the balancer is RNG-free, and all cross-pod traffic
  * flows through the hub simulator's timeline — a cluster run stays a
  * pure function of (config, workload, seed), bit-identical at any
- * --jobs and any --intra-threads. A 1-node/1-pod cluster reproduces
- * WindServeSystem byte-for-byte: same construction order, same RNG
- * forks, same instance and channel names, no NIC channels.
+ * --jobs and any --intra-threads.
  */
 #pragma once
 
@@ -49,7 +51,6 @@
 
 #include "core/pod.hpp"
 #include "core/pod_balancer.hpp"
-#include "core/windserve_system.hpp"
 #include "ctrl/control_plane.hpp"
 #include "engine/serving_system.hpp"
 #include "hw/topology.hpp"
@@ -119,7 +120,7 @@ class ClusterServeSystem : public engine::ServingSystem
   public:
     explicit ClusterServeSystem(ClusterConfig cfg);
 
-    std::string name() const override { return "WindServe-Cluster"; }
+    std::string name() const override { return "WindServe"; }
     std::size_t num_gpus() const override;
     /** The HUB simulator (arrivals, balancer, NICs, chaos engine). */
     sim::Simulator &simulator() override { return sim_; }

@@ -2,7 +2,7 @@
 
 #include <stdexcept>
 
-#include "core/windserve_system.hpp"
+#include "audit/sim_auditor.hpp"
 #include "fault/fault_injector.hpp"
 #include "obs/telemetry.hpp"
 #include "simcore/log.hpp"
@@ -269,7 +269,7 @@ Pod::on_prefill_complete_at_prefill(Request *r)
     }
     // A cross-pod balancer may claim the KV hand-off (decode offload to
     // a less loaded pod); otherwise the local prefill->decode copy runs.
-    if (hooks_.offload_decode && hooks_.offload_decode(*this, r))
+    if (hooks_.offload_decode(*this, r))
         return;
     begin_local_decode_transfer(r);
 }
@@ -356,8 +356,7 @@ Pod::on_finished(Request *r)
     backup_->on_request_done(r);
     notify_decode_ready(r); // single-token recoveries finish without
                             // re-entering a decode queue
-    if (hooks_.on_finished)
-        hooks_.on_finished(r);
+    hooks_.on_finished(r);
 }
 
 void
@@ -405,7 +404,7 @@ Pod::redispatch_after_fault(Request *r)
     r->generated = 0;
     // A fully-down pod cannot recompute: offer the victim to the
     // cluster's cross-pod path before queueing on a dead instance.
-    if (hooks_.redispatch_remote && hooks_.redispatch_remote(*this, r))
+    if (hooks_.redispatch_remote(*this, r))
         return;
     on_arrival(r);
 }
@@ -422,8 +421,7 @@ Pod::on_instance_crashed(engine::Instance &inst,
         for (auto &[id, r] : transferring_)
             victims.push_back(r);
         transferring_.clear();
-        if (hooks_.on_prefill_crash)
-            hooks_.on_prefill_crash(*this, victims);
+        hooks_.on_prefill_crash(*this, victims);
     } else {
         backup_->on_source_crash();
         for (Request *r : migration_->cancel_active())

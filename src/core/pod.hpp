@@ -1,32 +1,31 @@
 /**
  * @file
  * One WindServe pod: a prefill/decode instance pair with its own
- * global scheduler, KV transfer path, migration and backup managers.
+ * global scheduler, KV transfer path, migration and backup managers,
+ * plus WindServeConfig, the configuration that builds it.
  *
- * A pod is the unit of sharding in a multi-node cluster: it owns one
- * NVLink island's worth of GPUs and runs the paper's full Fig. 4
- * pipeline locally (dispatch, SBD, stall-free rescheduling, proactive
- * backups). WindServeSystem wraps exactly one Pod (the original
- * single-testbed deployment, bit-identical to the pre-pod code);
- * ClusterServeSystem owns many and routes between them through the
- * PodHooks seams below.
+ * A pod runs the paper's full Fig. 4 pipeline locally (dispatch, SBD,
+ * stall-free rescheduling, proactive backups) on one NVLink island's
+ * worth of GPUs. ClusterServeSystem is the only owner: it builds one
+ * pod per (node, slot) and routes between them through the PodHooks
+ * seams below. WindServeSystem is that cluster with a single pod.
  *
  * The hooks are the only cross-pod surface:
- *  - on_finished     (required) request retired — the owner decrements
- *                    its outstanding count / balancer load;
- *  - offload_decode  (optional) called when a local prefill completes;
- *                    return true to take ownership of the KV hand-off
- *                    (ship it over the NIC to another pod) instead of
- *                    the local prefill->decode copy;
- *  - redispatch_remote (optional) called when a crash victim cannot be
+ *  - on_finished     request retired — the owner decrements its
+ *                    outstanding count / balancer load;
+ *  - offload_decode  called when a local prefill completes; return
+ *                    true to take ownership of the KV hand-off (ship
+ *                    it over the NIC to another pod) instead of the
+ *                    local prefill->decode copy;
+ *  - redispatch_remote called when a crash victim cannot be
  *                    re-dispatched locally; return true to re-route it
  *                    to another pod;
- *  - on_prefill_crash (optional) lets the owner sweep requests whose
- *                    cross-pod KV copy out of this pod is in flight.
+ *  - on_prefill_crash lets the owner sweep requests whose cross-pod KV
+ *                    copy out of this pod is in flight;
+ *  - decode_ready    (optional) see below.
  *
- * All hooks default to "not installed", which makes a hook-free Pod
- * behave exactly like the historical WindServeSystem internals — the
- * construction order (and hence every RNG fork) is unchanged.
+ * With one pod the cross-pod hooks always decline, so the pod runs the
+ * plain single-testbed pipeline.
  */
 #pragma once
 
@@ -51,12 +50,55 @@ class Telemetry;
 
 namespace windserve::core {
 
-struct WindServeConfig;
+/** Full configuration of a WindServe deployment (one pod's worth). */
+struct WindServeConfig {
+    model::ModelSpec model = model::ModelSpec::opt_13b();
+    hw::TopologyConfig topology;
+    model::ParallelismConfig prefill_parallelism{2, 1};
+    model::ParallelismConfig decode_parallelism{2, 1};
+    model::CostModelParams cost_params;
+
+    CoordinatorConfig coordinator;
+    transfer::KvTransferConfig transfer{
+        transfer::TransferPolicy::Overlapped, 0.05, 0.25, ""};
+    transfer::MigrationConfig migration;
+    transfer::BackupManager::Config backup;
+
+    /** SLOs drive the assist budget and (by default) `thrd`. */
+    double ttft_slo = 0.25;
+    double tpot_slo = 0.10;
+
+    std::size_t block_size = 16;
+    std::size_t max_batch_size = 256;
+    std::size_t max_prefill_tokens = 4096;
+    std::size_t chunk_size = 512;
+    /** Chunk size the prefill instance uses while hosting migrated
+     *  decodes (large = keep prefill throughput). */
+    std::size_t prefill_chunk_size = 2048;
+    /** Fraction of decode KV capacity reserved from dispatch. */
+    double dispatch_reserve_fraction = 0.06;
+
+    /** Stream-based disaggregation on the decode instance (§3.4). */
+    bool enable_sbd = true;
+
+    /** Preempt to host memory on KV exhaustion (park when disabled). */
+    bool swap_enabled = true;
+    /** Host DRAM budget per instance's swap pool. */
+    double host_memory_bytes = 256e9;
+    /** Override the derived per-instance KV capacity (tokens); 0 keeps
+     *  the cost-model value. For tests and capacity studies. */
+    std::size_t kv_capacity_tokens_override = 0;
+
+    double exec_noise_sigma = 0.03;
+    std::uint64_t seed = 7;
+};
+
 class Pod;
 
-/** Cross-pod seams; see file comment. */
+/** Cross-pod seams; see file comment. All but decode_ready are
+ *  required. */
 struct PodHooks {
-    /** Request retired (finished or failed-forward). Required. */
+    /** Request retired (finished or failed-forward). */
     std::function<void(workload::Request *)> on_finished;
     /** Offer a freshly prefilled request for cross-pod decode. */
     std::function<bool(Pod &, workload::Request *)> offload_decode;
@@ -84,12 +126,11 @@ class Pod
     /**
      * Build a pod on @p sim. @p name_prefix (e.g. "pod3/") prefixes the
      * instance and channel names so the auditor's per-name ledgers stay
-     * distinct across pods; the empty default keeps the historical
-     * names. @p index is the pod's id within its cluster (0 for the
-     * single-pod system).
+     * distinct across pods; a single-pod cluster passes "". @p index is
+     * the pod's id within its cluster.
      */
     Pod(sim::Simulator &sim, const WindServeConfig &cfg, PodHooks hooks,
-        std::string name_prefix = "", std::size_t index = 0);
+        std::string name_prefix, std::size_t index);
     ~Pod();
 
     // ---- request lifecycle (entry points for the owner) ----
@@ -147,9 +188,9 @@ class Pod
      *  order) and arm fault-tolerance mode. Does NOT install the
      *  injector's redispatch/crash hooks — the owner routes those. */
     void wire_faults(fault::FaultInjector &inj);
-    /** Register metric families. @p pod_label ("" or "pod=\"k\"") tags
-     *  the per-pod scheduler/migration/backup series; channel and
-     *  instance series are already unique via name_prefix. */
+    /** Register metric families. @p pod_label (`pod="k"`) tags the
+     *  per-pod scheduler/migration/backup series; channel and instance
+     *  series are already unique via name_prefix. */
     void wire_telemetry(obs::Telemetry &t, const std::string &pod_label);
 
     /**

@@ -11,10 +11,10 @@
  * migrates long decodes back to the prefill instance (stall-free) under
  * memory pressure, with proactive KV backups shrinking migration cost.
  *
- * The deployment machinery itself lives in core::Pod — this class wraps
- * exactly one hook-free pod (the original single-testbed system, byte-
- * identical to the pre-pod code); ClusterServeSystem shards many pods
- * under a cross-pod balancer.
+ * That pipeline is one core::Pod. WindServeSystem is the
+ * ClusterServeSystem of one node holding one pod, so a single-testbed
+ * run and a sharded cluster share one replay and one attachment path;
+ * the accessors below reach into that pod.
  *
  * Ablation switches reproduce the §5.4 variants:
  *   enable_sbd = false            -> WindServe-no-split
@@ -22,98 +22,37 @@
  */
 #pragma once
 
-#include <memory>
+#include <utility>
 
-#include "core/global_scheduler.hpp"
-#include "core/pod.hpp"
-#include "engine/serving_system.hpp"
-#include "hw/topology.hpp"
-#include "transfer/kv_transfer.hpp"
-#include "transfer/migration.hpp"
+#include "core/cluster_system.hpp"
 
 namespace windserve::core {
 
-/** Full configuration of a WindServe deployment (one pod's worth). */
-struct WindServeConfig {
-    model::ModelSpec model = model::ModelSpec::opt_13b();
-    hw::TopologyConfig topology;
-    model::ParallelismConfig prefill_parallelism{2, 1};
-    model::ParallelismConfig decode_parallelism{2, 1};
-    model::CostModelParams cost_params;
-
-    CoordinatorConfig coordinator;
-    transfer::KvTransferConfig transfer{
-        transfer::TransferPolicy::Overlapped, 0.05, 0.25, ""};
-    transfer::MigrationConfig migration;
-    transfer::BackupManager::Config backup;
-
-    /** SLOs drive the assist budget and (by default) `thrd`. */
-    double ttft_slo = 0.25;
-    double tpot_slo = 0.10;
-
-    std::size_t block_size = 16;
-    std::size_t max_batch_size = 256;
-    std::size_t max_prefill_tokens = 4096;
-    std::size_t chunk_size = 512;
-    /** Chunk size the prefill instance uses while hosting migrated
-     *  decodes (large = keep prefill throughput). */
-    std::size_t prefill_chunk_size = 2048;
-    /** Fraction of decode KV capacity reserved from dispatch. */
-    double dispatch_reserve_fraction = 0.06;
-
-    /** Stream-based disaggregation on the decode instance (§3.4). */
-    bool enable_sbd = true;
-
-    /** Preempt to host memory on KV exhaustion (park when disabled). */
-    bool swap_enabled = true;
-    /** Host DRAM budget per instance's swap pool. */
-    double host_memory_bytes = 256e9;
-    /** Override the derived per-instance KV capacity (tokens); 0 keeps
-     *  the cost-model value. For tests and capacity studies. */
-    std::size_t kv_capacity_tokens_override = 0;
-
-    double exec_noise_sigma = 0.03;
-    std::uint64_t seed = 7;
-};
-
 /** See file comment. */
-class WindServeSystem : public engine::ServingSystem
+class WindServeSystem : public ClusterServeSystem
 {
   public:
-    explicit WindServeSystem(WindServeConfig cfg);
-
-    std::string name() const override { return "WindServe"; }
-    std::size_t num_gpus() const override;
-
-    // introspection for tests and ablation studies
-    engine::Instance &prefill_instance() { return pod_->prefill_instance(); }
-    engine::Instance &decode_instance() { return pod_->decode_instance(); }
-    GlobalScheduler &scheduler() { return pod_->scheduler(); }
-    transfer::MigrationManager &migration() { return pod_->migration(); }
-    transfer::BackupManager &backup() { return pod_->backup(); }
-    Pod &pod() { return *pod_; }
-    sim::Simulator &simulator() override { return sim_; }
-    const WindServeConfig &config() const { return cfg_; }
-
-  protected:
-    void replay(const std::vector<workload::Request> &trace,
-                double horizon) override;
-    void fill_system_metrics(metrics::RunMetrics &m) override;
-    void wire_trace(obs::TraceRecorder &rec) override;
-    void wire_audit(audit::SimAuditor &a) override;
-    void wire_faults(fault::FaultInjector &inj) override;
-    void wire_telemetry(obs::Telemetry &t) override;
-    std::vector<workload::Request> take_requests() override
+    explicit WindServeSystem(WindServeConfig cfg)
+        : ClusterServeSystem(one_pod(std::move(cfg)))
     {
-        return std::move(requests_);
     }
 
+    // introspection for tests and ablation studies
+    engine::Instance &prefill_instance() { return pod(0).prefill_instance(); }
+    engine::Instance &decode_instance() { return pod(0).decode_instance(); }
+    GlobalScheduler &scheduler() { return pod(0).scheduler(); }
+    transfer::MigrationManager &migration() { return pod(0).migration(); }
+    transfer::BackupManager &backup() { return pod(0).backup(); }
+
   private:
-    WindServeConfig cfg_;
-    sim::Simulator sim_;
-    std::unique_ptr<Pod> pod_;
-    std::vector<workload::Request> requests_;
-    std::size_t outstanding_ = 0;
+    static ClusterConfig one_pod(WindServeConfig cfg)
+    {
+        ClusterConfig cc;
+        cc.pod = std::move(cfg);
+        cc.num_nodes = 1;
+        cc.pods_per_node = 1;
+        return cc;
+    }
 };
 
 } // namespace windserve::core

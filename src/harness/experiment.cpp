@@ -74,20 +74,19 @@ std::unique_ptr<engine::ServingSystem>
 make_windserve(const ExperimentConfig &cfg)
 {
     core::WindServeConfig ws = make_windserve_config(cfg);
-    if (num_pods_of(cfg) > 1 || cfg.sharded || cfg.ctrl_replicas > 1) {
-        core::ClusterConfig cc;
-        cc.pod = std::move(ws);
-        cc.num_nodes = cfg.num_nodes;
-        cc.pods_per_node = cfg.pods_per_node;
-        cc.inter_node_links = cfg.inter_node_links;
-        if (cfg.offload_highwater)
-            cc.offload_highwater = *cfg.offload_highwater;
-        if (cfg.offload_lowwater)
-            cc.offload_lowwater = *cfg.offload_lowwater;
-        cc.ctrl.replicas = cfg.ctrl_replicas;
-        return std::make_unique<core::ClusterServeSystem>(std::move(cc));
-    }
-    return std::make_unique<core::WindServeSystem>(ws);
+    if (num_pods_of(cfg) == 1 && cfg.ctrl_replicas <= 1)
+        return std::make_unique<core::WindServeSystem>(std::move(ws));
+    core::ClusterConfig cc;
+    cc.pod = std::move(ws);
+    cc.num_nodes = cfg.num_nodes;
+    cc.pods_per_node = cfg.pods_per_node;
+    cc.inter_node_links = cfg.inter_node_links;
+    if (cfg.offload_highwater)
+        cc.offload_highwater = *cfg.offload_highwater;
+    if (cfg.offload_lowwater)
+        cc.offload_lowwater = *cfg.offload_lowwater;
+    cc.ctrl.replicas = cfg.ctrl_replicas;
+    return std::make_unique<core::ClusterServeSystem>(std::move(cc));
 }
 
 } // namespace
@@ -222,13 +221,6 @@ run_experiment(const ExperimentConfig &cfg)
         for (std::size_t k = 0; k < cs->num_pods(); ++k)
             result.decode_swap_outs +=
                 cs->pod(k).decode_instance().swap_out_events();
-    } else if (auto *ws =
-                   dynamic_cast<core::WindServeSystem *>(system.get())) {
-        result.dispatches = ws->scheduler().coordinator().dispatches();
-        result.reschedules = ws->scheduler().coordinator().reschedules();
-        result.migrations_completed = ws->migration().completed();
-        result.backups = ws->backup().backups_taken();
-        result.decode_swap_outs = ws->decode_instance().swap_out_events();
     } else if (auto *ds = dynamic_cast<baselines::DistServeSystem *>(
                    system.get())) {
         for (std::size_t i = 0; i < ds->num_replicas(); ++i)

@@ -91,16 +91,12 @@ struct ExperimentConfig {
      * Cluster shape. The scenario describes ONE pod; the experiment
      * replicates it over `num_nodes * pods_per_node` pods and scales
      * the arrival rate by the same factor (the paper's linear rule).
-     * For the WindServe family >1 pod (or `sharded`) selects the
-     * sharded ClusterServeSystem; DistServe replicates PD pairs; vLLM
-     * multiplies its engine count. The 1/1 default is byte-identical
-     * to the historical single-node harness.
+     * The WindServe family shards into that many pods of one
+     * ClusterServeSystem (a WindServeSystem for the 1/1 default);
+     * DistServe replicates PD pairs; vLLM multiplies its engine count.
      */
     std::size_t num_nodes = 1;
     std::size_t pods_per_node = 1;
-    /** Force the sharded cluster path even for a 1-node/1-pod run
-     *  (sequential-vs-sharded differential testing). */
-    bool sharded = false;
     /** Cluster decode-offload watermark overrides (ClusterConfig
      *  defaults when empty). Benches and tests lower these to make the
      *  cross-pod offload path fire under moderate load. */

@@ -95,10 +95,8 @@
 #include "metrics/collector.hpp"
 #include "metrics/report.hpp"
 #include "metrics/slo.hpp"
-#include "metrics/timeline.hpp"
 
 // experiment harness
-#include "harness/cluster.hpp"
 #include "harness/configs.hpp"
 #include "harness/experiment.hpp"
 #include "harness/fuzz.hpp"

@@ -292,41 +292,6 @@ TEST(ClusterSystem, RoutesAcrossPodsAndFinishesEverything)
     EXPECT_GT(total, 0u);
 }
 
-TEST(ClusterSystem, SingleNodeSinglePodMatchesWindServeSystem)
-{
-    // The sequential-vs-sharded differential: the same configuration
-    // through WindServeSystem and through a 1-node/1-pod cluster must
-    // produce identical per-request results (the cluster layer adds no
-    // events, no RNG draws, no renames).
-    core::WindServeConfig ws;
-    ws.seed = 99;
-    auto trace = small_trace(150, 6.0, 3);
-
-    core::WindServeSystem seq(ws);
-    engine::RunOptions opts;
-    opts.horizon = 3600.0;
-    auto a = seq.run(trace, opts);
-
-    core::ClusterConfig cc;
-    cc.pod = ws;
-    cc.num_nodes = 1;
-    cc.pods_per_node = 1;
-    core::ClusterServeSystem shard(cc);
-    auto b = shard.run(trace, opts);
-
-    ASSERT_EQ(a.requests.size(), b.requests.size());
-    for (std::size_t i = 0; i < a.requests.size(); ++i) {
-        const auto &ra = a.requests[i];
-        const auto &rb = b.requests[i];
-        EXPECT_EQ(ra.generated, rb.generated) << i;
-        EXPECT_DOUBLE_EQ(ra.finish_time, rb.finish_time) << i;
-        EXPECT_DOUBLE_EQ(ra.first_token_time, rb.first_token_time) << i;
-    }
-    EXPECT_EQ(seq.simulator().events_fired(), shard.simulator().events_fired());
-    EXPECT_EQ(hs::result_checksum(a.requests),
-              hs::result_checksum(b.requests));
-}
-
 TEST(ClusterSystem, SixtyFourGpuEightPodChaosRunPassesAudit)
 {
     // The acceptance run: 8 pods x 8 GPUs = 64 GPUs, full chaos

@@ -17,6 +17,7 @@
 #include <map>
 #include <string>
 
+#include "core/windserve_system.hpp"
 #include "fault/fault_injector.hpp"
 #include "fault/fault_plan.hpp"
 #include "harness/experiment.hpp"
@@ -187,6 +188,43 @@ TEST(FaultInjector, CrashRecoverySmokeUnderAudit)
     EXPECT_LE(m.num_aborted, m.num_unfinished);
     EXPECT_LE(static_cast<std::size_t>(m.fault_recoveries),
               static_cast<std::size_t>(m.fault_redispatches));
+}
+
+TEST(FaultInjector, NodeCrashesReachASinglePod)
+{
+    // A single-pod deployment is one node: a node_mtbf > 0 schedule
+    // must take both of its instances down together under the
+    // fail-fast auditor, and every request must be accounted for.
+    hs::ExperimentConfig ec;
+    ec.scenario = hs::Scenario::opt13b_sharegpt();
+    ec.system = hs::SystemKind::WindServe;
+    ec.per_gpu_rate = 1.5;
+    ec.num_requests = 150;
+    ec.seed = 4242;
+    auto sys = hs::make_system(ec);
+    ASSERT_NE(dynamic_cast<windserve::core::WindServeSystem *>(sys.get()),
+              nullptr);
+
+    flt::FaultConfig fc;
+    fc.horizon = 90.0;
+    fc.warmup = 5.0;
+    fc.seed = 99;
+    fc.crash_mtbf = 0.0;
+    fc.node_mtbf = 15.0;
+    fc.mean_node_repair = 5.0;
+    eng::RunOptions opts;
+    opts.slo = ec.scenario.slo;
+    opts.horizon = 1200.0;
+    opts.audit = windserve::audit::AuditConfig{};
+    opts.faults = fc;
+    auto run = sys->run(hs::make_trace(ec), opts);
+
+    EXPECT_GT(sys->faults()->node_crashes(), 0u);
+    EXPECT_EQ(sys->audit()->total_violations(), 0u);
+    const auto &m = run.metrics;
+    EXPECT_GT(m.instance_crashes, 0u);
+    EXPECT_EQ(m.num_finished + m.num_unfinished, 150u);
+    EXPECT_GT(m.num_finished, 0u);
 }
 
 TEST(FaultInjector, RetryCapAbortsVictims)

@@ -274,38 +274,6 @@ TEST(ParallelSweep, MultiPodCellsBitIdenticalAcrossThreadCounts)
     }
 }
 
-// The sequential-vs-sharded differential at the harness level: the
-// same single-pod configuration routed through WindServeSystem
-// (default) and through the forced cluster path (sharded = true) must
-// produce identical metrics — the cluster wrapper adds no events and
-// no RNG draws for one pod.
-TEST(ParallelSweep, SequentialVsShardedSinglePodIdentical)
-{
-    hs::ExperimentConfig seq_cfg;
-    seq_cfg.system = hs::SystemKind::WindServe;
-    seq_cfg.per_gpu_rate = 2.0;
-    seq_cfg.num_requests = 150;
-    seq_cfg.seed = 321;
-    seq_cfg.audit = true;
-    hs::ExperimentConfig shard_cfg = seq_cfg;
-    shard_cfg.sharded = true;
-
-    auto a = hs::run_experiment(seq_cfg);
-    auto b = hs::run_experiment(shard_cfg);
-    ASSERT_EQ(b.system_name, a.system_name);
-    expect_sample_identical(a.metrics.ttft, b.metrics.ttft, "diff ttft");
-    expect_sample_identical(a.metrics.tpot, b.metrics.tpot, "diff tpot");
-    expect_sample_identical(a.metrics.e2e, b.metrics.e2e, "diff e2e");
-    ASSERT_EQ(a.metrics.num_finished, b.metrics.num_finished);
-    ASSERT_EQ(a.metrics.makespan, b.metrics.makespan);
-    ASSERT_EQ(a.dispatches, b.dispatches);
-    ASSERT_EQ(a.reschedules, b.reschedules);
-    ASSERT_EQ(a.migrations_completed, b.migrations_completed);
-    ASSERT_EQ(a.backups, b.backups);
-    ASSERT_EQ(a.decode_swap_outs, b.decode_swap_outs);
-    ASSERT_EQ(a.audit_events, b.audit_events);
-}
-
 // ---------------------------------------------------------------------
 // Intra-run parallelism (conservative-lookahead LP engine)
 // ---------------------------------------------------------------------

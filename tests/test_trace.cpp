@@ -451,25 +451,6 @@ TEST(Trace, CounterEventsCarryExplicitTimestamps)
     EXPECT_TRUE(found);
 }
 
-TEST(Trace, TimelineJsonExportsProbeSeries)
-{
-    sim::Simulator s;
-    metrics::TimelineRecorder tl(s, 1.0);
-    double v = 0.0;
-    tl.add_probe("load", [&] { return v; });
-    tl.start(3.0);
-    s.schedule(1.5, [&] { v = 2.0; });
-    s.run();
-
-    auto doc = JsonParser(tl.json()).parse();
-    const auto &events = doc.at("traceEvents").items;
-    std::size_t counters = 0;
-    for (const auto &e : events)
-        if (e.at("ph").str == "C")
-            ++counters;
-    EXPECT_EQ(counters, tl.num_samples());
-}
-
 TEST(Trace, LogLinesCarrySimulatedTime)
 {
     using sim::Log;
