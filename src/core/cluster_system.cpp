@@ -1,6 +1,7 @@
 #include "core/cluster_system.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 #include <string>
 
@@ -26,6 +27,32 @@ make_cluster_topology(const ClusterConfig &cfg)
     return hw::Topology(tc);
 }
 
+/** @return @p cfg unchanged; throws std::invalid_argument naming the
+ *  first out-of-range field. */
+ClusterConfig
+validated(ClusterConfig cfg)
+{
+    auto fail = [](const std::string &what) {
+        throw std::invalid_argument("ClusterConfig: " + what);
+    };
+    if (!std::isfinite(cfg.lp_window) || cfg.lp_window < 0.0)
+        fail("lp_window must be finite and >= 0, got " +
+             std::to_string(cfg.lp_window));
+    for (auto [name, v] : {std::pair{"offload_highwater",
+                                     cfg.offload_highwater},
+                           std::pair{"offload_lowwater",
+                                     cfg.offload_lowwater}}) {
+        if (!(v >= 0.0 && v <= 1.0))
+            fail(std::string(name) + " must be in [0, 1], got " +
+                 std::to_string(v));
+    }
+    if (cfg.offload_lowwater > cfg.offload_highwater)
+        fail("offload_lowwater (" + std::to_string(cfg.offload_lowwater) +
+             ") exceeds offload_highwater (" +
+             std::to_string(cfg.offload_highwater) + ")");
+    return cfg;
+}
+
 /** Pod k's RNG stream; k = 0 keeps the base seed. */
 std::uint64_t
 pod_seed(std::uint64_t base, std::size_t k)
@@ -48,7 +75,7 @@ cluster_lookahead_floor(const hw::Topology &topo)
 }
 
 ClusterServeSystem::ClusterServeSystem(ClusterConfig cfg)
-    : cfg_(std::move(cfg)), topo_(make_cluster_topology(cfg_)),
+    : cfg_(validated(std::move(cfg))), topo_(make_cluster_topology(cfg_)),
       balancer_(cfg_.num_nodes * std::max<std::size_t>(cfg_.pods_per_node, 1))
 {
     if (cfg_.pods_per_node == 0)
@@ -540,6 +567,29 @@ ClusterServeSystem::wire_telemetry(obs::Telemetry &t)
                     return static_cast<double>(cross_redispatches_);
                 },
                 "Crash victims re-homed to another pod");
+    if (!pod_sims_.empty()) {
+        // LP engine counters; lp_ is built at replay start, so the
+        // callbacks read zero until the first window.
+        auto lp_counter = [this](std::uint64_t (sim::LpScheduler::*get)()
+                                     const) {
+            return [this, get] {
+                return lp_ ? static_cast<double>((lp_.get()->*get)())
+                           : 0.0;
+            };
+        };
+        reg.counter("ws_lp_windows_total", "",
+                    lp_counter(&sim::LpScheduler::windows),
+                    "LP engine window phases run");
+        reg.counter("ws_lp_hub_phases_total", "",
+                    lp_counter(&sim::LpScheduler::hub_phases),
+                    "LP engine hub phases run");
+        reg.counter("ws_lp_messages_total", "",
+                    lp_counter(&sim::LpScheduler::messages_posted),
+                    "Cross-LP messages delivered to the hub");
+        reg.counter("ws_lp_runs_total", "",
+                    lp_counter(&sim::LpScheduler::lp_runs),
+                    "Pod LP window runs (only LPs with events due run)");
+    }
     for (std::size_t k = 0; k < pods_.size(); ++k) {
         reg.gauge("ws_cluster_pod_load",
                   "pod=\"" + std::to_string(k) + "\"",

@@ -37,7 +37,7 @@ LpScheduler::add_lp(Simulator &sim)
 void
 LpScheduler::post(std::size_t src_lp, SimTime when, std::function<void()> fn)
 {
-    if (hub_phase_) {
+    if (clock_.hub_phase) {
         // Coordinator thread, hub quiescent point: preserve hub batch
         // insertion order by scheduling directly.
         ++messages_;
@@ -84,30 +84,31 @@ SimTime
 LpScheduler::run_until(SimTime horizon)
 {
     start_workers();
+    attach();
+    struct Detach {
+        LpScheduler &s;
+        ~Detach() { s.detach(); }
+    } detach_on_exit{*this};
+
     for (;;) {
+        validate_top();
         const SimTime hub_next = hub_.pending() ? hub_.next_time() : kInf;
-        SimTime t0 = hub_next;
-        for (const Lp &lp : lps_) {
-            if (lp.sim->pending())
-                t0 = std::min(t0, lp.sim->next_time());
-        }
+        const SimTime lp_next = heap_.empty() ? kInf : lps_[heap_[0]].key;
+        const SimTime t0 = std::min(hub_next, lp_next);
         if (t0 == kInf || t0 > horizon)
             break;
         if (hub_next <= t0) {
-            // Hub phase (hub-first at ties): park the LPs at t0 so hub
-            // handlers reaching into LP-owned objects see clocks and
-            // schedule events at the hub's own timestamp.
-            for (Lp &lp : lps_)
-                lp.sim->advance_to(t0);
+            // Hub phase (hub-first at ties): raise the clock floor so
+            // every LP reads t0 while hub handlers reach into LP-owned
+            // objects, then re-key the LPs they scheduled onto.
+            clock_.floor = t0;
             ++hub_phases_;
-            hub_phase_ = true;
-            try {
-                hub_.run_until(t0);
-            } catch (...) {
-                hub_phase_ = false;
-                throw;
-            }
-            hub_phase_ = false;
+            clock_.hub_phase = true;
+            hub_.run_until(t0);
+            clock_.hub_phase = false;
+            for (std::size_t i : clock_.touched)
+                rekey(i);
+            clock_.touched.clear();
             continue;
         }
         // Window phase: hub_next > t0, so some LP owns the minimum.
@@ -115,9 +116,22 @@ LpScheduler::run_until(SimTime horizon)
         const Window w = compute_window(t0, effective_window(), hub_next,
                                         cfg_.tick, horizon);
         ++windows_;
+        // Pop exactly the LPs run_window would fire anything on.
+        due_.clear();
+        for (; !heap_.empty(); validate_top()) {
+            const SimTime k = lps_[heap_[0]].key;
+            if (!(k < w.excl || k <= w.incl))
+                break;
+            due_.push_back(heap_[0]);
+            remove_at(0);
+        }
+        std::sort(due_.begin(), due_.end());
+        lp_runs_ += due_.size();
         run_window_parallel(w);
         rethrow_first_error();
         drain_outboxes();
+        for (std::size_t i : due_)
+            rekey(i);
     }
     // Settle every clock on the global last-event time so end-of-run
     // statistics (utilization denominators, trailing telemetry ticks)
@@ -130,6 +144,133 @@ LpScheduler::run_until(SimTime horizon)
     for (Lp &lp : lps_)
         lp.sim->advance_to(g);
     return g;
+}
+
+void
+LpScheduler::attach()
+{
+    clock_.floor = -kInf;
+    heap_.clear();
+    for (std::size_t i = 0; i < lps_.size(); ++i) {
+        lps_[i].sim->lp_ = &clock_;
+        lps_[i].sim->lp_index_ = i;
+        lps_[i].pos = npos;
+        rekey(i);
+    }
+}
+
+void
+LpScheduler::detach()
+{
+    // Runs on every exit from run_until, a throw included: bake the
+    // floor into each LP clock, then cut the LPs loose.
+    clock_.hub_phase = false;
+    clock_.touched.clear();
+    for (Lp &lp : lps_) {
+        lp.sim->advance_to(clock_.floor);
+        lp.sim->lp_ = nullptr;
+    }
+}
+
+bool
+LpScheduler::before(std::size_t a, std::size_t b) const
+{
+    const SimTime ka = lps_[a].key;
+    const SimTime kb = lps_[b].key;
+    return ka < kb || (ka == kb && a < b);
+}
+
+void
+LpScheduler::place(std::size_t lp, std::size_t pos)
+{
+    heap_[pos] = lp;
+    lps_[lp].pos = pos;
+}
+
+void
+LpScheduler::sift_up(std::size_t pos)
+{
+    const std::size_t lp = heap_[pos];
+    while (pos > 0) {
+        const std::size_t parent = (pos - 1) / 2;
+        if (!before(lp, heap_[parent]))
+            break;
+        place(heap_[parent], pos);
+        pos = parent;
+    }
+    place(lp, pos);
+}
+
+void
+LpScheduler::sift_down(std::size_t pos)
+{
+    const std::size_t lp = heap_[pos];
+    const std::size_t n = heap_.size();
+    for (;;) {
+        std::size_t best = 2 * pos + 1;
+        if (best >= n)
+            break;
+        if (best + 1 < n && before(heap_[best + 1], heap_[best]))
+            ++best;
+        if (!before(heap_[best], lp))
+            break;
+        place(heap_[best], pos);
+        pos = best;
+    }
+    place(lp, pos);
+}
+
+void
+LpScheduler::remove_at(std::size_t pos)
+{
+    lps_[heap_[pos]].pos = npos;
+    const std::size_t last = heap_.back();
+    heap_.pop_back();
+    if (pos == heap_.size())
+        return;
+    place(last, pos);
+    if (pos > 0 && before(last, heap_[(pos - 1) / 2]))
+        sift_up(pos);
+    else
+        sift_down(pos);
+}
+
+void
+LpScheduler::rekey(std::size_t i)
+{
+    Lp &lp = lps_[i];
+    if (lp.sim->pending() == 0) {
+        if (lp.pos != npos)
+            remove_at(lp.pos);
+        return;
+    }
+    const SimTime key = lp.sim->next_time();
+    if (lp.pos == npos) {
+        lp.key = key;
+        heap_.push_back(i);
+        sift_up(heap_.size() - 1);
+        return;
+    }
+    const SimTime old = lp.key;
+    lp.key = key;
+    if (key < old)
+        sift_up(lp.pos);
+    else if (old < key)
+        sift_down(lp.pos);
+}
+
+void
+LpScheduler::validate_top()
+{
+    // Only a hub-phase cancel leaves a stale key, and it can only be
+    // too low: re-keying the top until it is exact makes it the true
+    // minimum, since every other key bounds its LP's time from below.
+    while (!heap_.empty()) {
+        const Lp &top = lps_[heap_[0]];
+        if (top.sim->pending() != 0 && top.sim->next_time() == top.key)
+            return;
+        rekey(heap_[0]);
+    }
 }
 
 void
@@ -151,7 +292,7 @@ LpScheduler::run_window_parallel(Window w)
 {
     cur_ = w;
     next_lp_.store(0, std::memory_order_relaxed);
-    if (workers_.empty()) {
+    if (workers_.empty() || due_.size() == 1) {
         claim_and_run();
         return;
     }
@@ -183,10 +324,11 @@ void
 LpScheduler::claim_and_run()
 {
     for (;;) {
-        const std::size_t i =
+        const std::size_t slot =
             next_lp_.fetch_add(1, std::memory_order_relaxed);
-        if (i >= lps_.size())
+        if (slot >= due_.size())
             break;
+        const std::size_t i = due_[slot];
         try {
             lps_[i].sim->run_window(cur_.excl, cur_.incl);
         } catch (...) {
@@ -200,11 +342,12 @@ LpScheduler::claim_and_run()
 void
 LpScheduler::rethrow_first_error()
 {
-    for (std::size_t i = 0; i < errs_.size(); ++i) {
+    // Only LPs that ran can have failed; due_ is in index order.
+    for (std::size_t i : due_) {
         if (errs_[i]) {
             std::exception_ptr e = errs_[i];
-            for (std::exception_ptr &p : errs_)
-                p = nullptr;
+            for (std::size_t j : due_)
+                errs_[j] = nullptr;
             std::rethrow_exception(e);
         }
     }
@@ -215,7 +358,9 @@ LpScheduler::drain_outboxes()
 {
     // (LP index, post order) concatenation: the hub heap's insertion-seq
     // tie-break turns this into the total (time, LP, seq) event order.
-    for (Lp &lp : lps_) {
+    // Only LPs that ran can have posted.
+    for (std::size_t i : due_) {
+        Lp &lp = lps_[i];
         for (Msg &m : lp.outbox) {
             ++messages_;
             hub_.schedule_at(m.when, std::move(m.fn));

@@ -10,19 +10,42 @@
  *
  *  - t0 is the global minimum pending timestamp across the hub and all
  *    LPs, so every event below t0 has already fired — the classic
- *    conservative lower bound on timestamp (LBTS).
+ *    conservative lower bound on timestamp (LBTS). The scheduler reads
+ *    the LP part from an indexed min-heap of LP next-event times keyed
+ *    by (time, LP index), so a barrier costs O(due LPs · log LPs), not
+ *    O(LPs).
  *  - If the hub itself holds the minimum, a sequential HUB PHASE runs
- *    all hub events at t0 on the coordinator thread while the LPs are
- *    parked at the barrier with their clocks advanced to t0 (hub-first
- *    at ties; hub handlers may safely call into LP-owned objects).
- *  - Otherwise a WINDOW PHASE lets every LP fire its local events in
- *    parallel up to end = min(t0 + W, hub_next, next telemetry tick,
- *    horizon), where W = max(lookahead, window quantum). The lookahead
- *    floor is derived from the minimum cross-LP link latency (see
- *    core::cluster_lookahead_floor); the window quantum amortizes
- *    barrier cost when the floor is tiny. W = 0 degenerates to
- *    lockstep sequential pumping (each window fires exactly the
- *    t0-batch of each LP).
+ *    all hub events at t0 on the coordinator thread (hub-first at
+ *    ties; hub handlers may safely call into LP-owned objects). No LP
+ *    is touched to get there: the scheduler raises a shared CLOCK
+ *    FLOOR to t0 and every LP's now() reads max(own clock, floor), so
+ *    hub handlers see every LP clock at exactly t0 (or later, by the
+ *    bounded staleness below) and LP schedule() calls are relative to
+ *    that value. The floor only rises and stays up after the phase.
+ *  - Otherwise a WINDOW PHASE pops the LPs whose next event is due in
+ *    [t0, end], end = min(t0 + W, hub_next, next telemetry tick,
+ *    horizon), where W = max(lookahead, window quantum), and runs only
+ *    those, in parallel; idle LPs are neither run, drained nor polled.
+ *    The lookahead floor is derived from the minimum cross-LP link
+ *    latency (see core::cluster_lookahead_floor); the window quantum
+ *    amortizes barrier cost when the floor is tiny. W = 0 degenerates
+ *    to lockstep sequential pumping (each window fires exactly the
+ *    t0-batch of each due LP).
+ *
+ * Heap-key invariant: when read for t0, every LP's heap key equals its
+ * true next event time. Keys change in three ways, each handled:
+ *  - an LP that ran a window is re-keyed after it;
+ *  - a hub handler scheduling onto an LP (possibly earlier than its
+ *    head, a decrease-key) lists the LP in LpClock::touched, and the
+ *    touched LPs are re-keyed when the hub phase ends;
+ *  - a hub handler cancelling an LP's head leaves a key below the true
+ *    time, which is validated and re-keyed when it reaches the top.
+ * A t0 off by any amount would shift window bounds and change results.
+ *
+ * The clock floor and the touch list live in an LpClock that each LP
+ * simulator points to only for the duration of run_until(); on every
+ * exit, a throw included, the LPs are advanced to the floor and
+ * detached, so no LP outlives its scheduler holding a pointer into it.
  *
  * Cross-LP interactions become timestamped MESSAGES posted through
  * bounded per-LP channels: during a window each LP appends to its own
@@ -102,8 +125,8 @@ class LpScheduler
      */
     void post(std::size_t src_lp, SimTime when, std::function<void()> fn);
 
-    /** True while hub events run on the coordinator (LPs parked). */
-    bool in_hub_phase() const { return hub_phase_; }
+    /** True while hub events run on the coordinator (no LP runs). */
+    bool in_hub_phase() const { return clock_.hub_phase; }
 
     /**
      * Drive hub + LPs to @p horizon (events at exactly the horizon
@@ -131,6 +154,8 @@ class LpScheduler
     std::uint64_t windows() const { return windows_; }
     std::uint64_t hub_phases() const { return hub_phases_; }
     std::uint64_t messages_posted() const { return messages_; }
+    /** LP run_window calls: one per due LP per window. */
+    std::uint64_t lp_runs() const { return lp_runs_; }
     std::size_t num_lps() const { return lps_.size(); }
 
   private:
@@ -138,11 +163,16 @@ class LpScheduler
         SimTime when;
         std::function<void()> fn;
     };
+    static constexpr std::size_t npos = static_cast<std::size_t>(-1);
     struct Lp {
         Simulator *sim;
         std::vector<Msg> outbox;
+        SimTime key = 0.0;     ///< next-event time as last keyed
+        std::size_t pos = npos; ///< slot in heap_; npos when idle
     };
 
+    void attach();
+    void detach();
     void start_workers();
     void worker_main();
     void claim_and_run();
@@ -150,14 +180,28 @@ class LpScheduler
     void drain_outboxes();
     void rethrow_first_error();
 
+    // indexed binary min-heap of LP indices by (key, index)
+    bool before(std::size_t a, std::size_t b) const;
+    void place(std::size_t lp, std::size_t pos);
+    void sift_up(std::size_t pos);
+    void sift_down(std::size_t pos);
+    void remove_at(std::size_t pos);
+    /** Set LP @p i's key to its true next time (or drop it when idle). */
+    void rekey(std::size_t i);
+    /** Re-key stale tops until the heap top's key is exact. */
+    void validate_top();
+
     Simulator &hub_;
     Config cfg_;
     std::vector<Lp> lps_;
+    std::vector<std::size_t> heap_;
+    /** LPs run in the current window, in index order. */
+    std::vector<std::size_t> due_;
     std::vector<std::exception_ptr> errs_;
-    bool hub_phase_ = false;
+    LpClock clock_;
 
     // worker pool: coordinator publishes a window by bumping epoch_
-    // (release); workers spin on it (acquire), claim LP indices from
+    // (release); workers spin on it (acquire), claim due_ slots from
     // next_lp_, and count down remaining_ (release) when the claim
     // pool is exhausted. The epoch/remaining pair is the only
     // synchronization LP state crosses.
@@ -172,6 +216,7 @@ class LpScheduler
     std::uint64_t windows_ = 0;
     std::uint64_t hub_phases_ = 0;
     std::uint64_t messages_ = 0;
+    std::uint64_t lp_runs_ = 0;
 };
 
 } // namespace windserve::sim

@@ -12,12 +12,29 @@
 #include <chrono>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <utility>
+#include <vector>
 
 #include "simcore/event_queue.hpp"
 #include "simcore/pump_profiler.hpp"
 
 namespace windserve::sim {
+
+/**
+ * Clock state an LpScheduler lends the LP simulators it drives, for the
+ * duration of its run_until() (see lp.hpp). A standalone Simulator
+ * holds none and pays one pointer test for it.
+ */
+struct LpClock {
+    /// t0 of the latest hub phase: an LP's now() never reads below it.
+    SimTime floor = -std::numeric_limits<SimTime>::infinity();
+    /// True while hub events run; LP schedules are then recorded.
+    bool hub_phase = false;
+    /// LPs scheduled onto during the current hub phase (repeats kept;
+    /// re-keying an LP twice is harmless).
+    std::vector<std::size_t> touched;
+};
 
 /**
  * Discrete-event simulation driver.
@@ -51,20 +68,27 @@ class Simulator
     Simulator(const Simulator &) = delete;
     Simulator &operator=(const Simulator &) = delete;
 
-    /** Current simulated time in seconds. */
-    SimTime now() const { return now_; }
+    /**
+     * Current simulated time in seconds. An LP simulator reads at least
+     * its scheduler's clock floor, so in a hub phase it reads the hub's
+     * t0 without having been advanced there.
+     */
+    SimTime now() const
+    {
+        return lp_ ? std::max(now_, lp_->floor) : now_;
+    }
 
     /** Schedule @p fn to fire @p delay seconds from now (delay clamped >= 0). */
     template <class F> EventHandle schedule(SimTime delay, F &&fn)
     {
-        return push_event(now_ + std::max(0.0, delay),
+        return push_event(now() + std::max(0.0, delay),
                           std::forward<F>(fn));
     }
 
     /** Schedule @p fn at absolute time @p when (clamped to >= now). */
     template <class F> EventHandle schedule_at(SimTime when, F &&fn)
     {
-        return push_event(std::max(when, now_), std::forward<F>(fn));
+        return push_event(std::max(when, now()), std::forward<F>(fn));
     }
 
     /** Cancel a previously scheduled event (no-op on stale handles). */
@@ -93,8 +117,8 @@ class Simulator
     /**
      * Advance the clock to @p t without firing anything, clamped so it
      * never moves backward and never passes the next pending event.
-     * Used by the LP scheduler to publish window boundaries as the LP's
-     * clock value between bursts of local events. @return the new now().
+     * Used by the LP scheduler to settle LP clocks when a run ends.
+     * @return the new raw clock value.
      */
     SimTime advance_to(SimTime t)
     {
@@ -159,6 +183,7 @@ class Simulator
 
   private:
     friend class SourceScope;
+    friend class LpScheduler;
 
     /** Profiled wrapper: restores the ambient source tag and charges
      *  the bucket even when the callback throws (audit violations). */
@@ -198,6 +223,11 @@ class Simulator
 
     template <class F> EventHandle push_event(SimTime when, F &&fn)
     {
+        // A hub handler scheduling onto an LP may move that LP's next
+        // event earlier; the scheduler re-keys the LPs listed here when
+        // the hub phase ends.
+        if (lp_ && lp_->hub_phase)
+            lp_->touched.push_back(lp_index_);
         if (prof_) {
             return queue_.push(
                 when, Profiled<std::decay_t<F>>{this, cur_src_,
@@ -212,6 +242,10 @@ class Simulator
     std::function<void(SimTime)> batch_hook_;
     PumpProfiler *prof_ = nullptr;
     std::uint16_t cur_src_ = 0;
+    /// Set only while an LpScheduler runs this simulator as LP
+    /// lp_index_.
+    LpClock *lp_ = nullptr;
+    std::size_t lp_index_ = 0;
 };
 
 /**

@@ -14,6 +14,7 @@
 
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
@@ -290,6 +291,72 @@ TEST(ClusterSystem, RoutesAcrossPodsAndFinishesEverything)
         total += sys.pod(k).scheduler().coordinator().dispatches();
     EXPECT_EQ(total, sys.total_dispatches());
     EXPECT_GT(total, 0u);
+}
+
+// ---------------------------------------------------------------------
+// ClusterConfig validation: bad fields throw, naming the field
+// ---------------------------------------------------------------------
+
+namespace {
+
+void
+expect_rejected(const core::ClusterConfig &cc, const std::string &field)
+{
+    try {
+        core::ClusterServeSystem sys(cc);
+        ADD_FAILURE() << "accepted a bad " << field;
+    } catch (const std::invalid_argument &e) {
+        EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+            << e.what();
+    }
+}
+
+} // namespace
+
+TEST(ClusterConfigCheck, RejectsNegativeLpWindow)
+{
+    core::ClusterConfig cc = small_cluster(2, 1);
+    cc.lp_window = -5.0;
+    expect_rejected(cc, "lp_window");
+}
+
+TEST(ClusterConfigCheck, RejectsNonFiniteLpWindow)
+{
+    for (double w : {std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity()}) {
+        core::ClusterConfig cc = small_cluster(2, 1);
+        cc.lp_window = w;
+        expect_rejected(cc, "lp_window");
+    }
+}
+
+TEST(ClusterConfigCheck, ZeroLpWindowStaysLegal)
+{
+    core::ClusterConfig cc = small_cluster(2, 1);
+    cc.lp_window = 0.0;
+    EXPECT_NO_THROW(core::ClusterServeSystem{cc});
+}
+
+TEST(ClusterConfigCheck, RejectsLowwaterAboveHighwater)
+{
+    core::ClusterConfig cc = small_cluster(2, 1);
+    cc.offload_lowwater = 0.9;
+    cc.offload_highwater = 0.1;
+    expect_rejected(cc, "offload_lowwater");
+}
+
+TEST(ClusterConfigCheck, RejectsHighwaterOutsideUnitInterval)
+{
+    core::ClusterConfig cc = small_cluster(2, 1);
+    cc.offload_highwater = 1.7;
+    expect_rejected(cc, "offload_highwater");
+}
+
+TEST(ClusterConfigCheck, RejectsLowwaterOutsideUnitInterval)
+{
+    core::ClusterConfig cc = small_cluster(2, 1);
+    cc.offload_lowwater = -0.1;
+    expect_rejected(cc, "offload_lowwater");
 }
 
 TEST(ClusterSystem, SixtyFourGpuEightPodChaosRunPassesAudit)

@@ -4,7 +4,10 @@
  * + core::cluster_lookahead_floor): lookahead-floor derivation from
  * topology latencies, window-bound computation, the LP clock-advance
  * bound, cross-LP (time, seq) tie-break determinism, the zero-lookahead
- * fallback to lockstep sequential pumping, a chaos campaign that kills
+ * fallback to lockstep sequential pumping, the activity-driven engine
+ * (idle LPs never run, LP heap keys stay exact under hub-phase
+ * schedules and cancels, idle clocks read t0, a throwing run leaves no
+ * LP attached to a dead scheduler), a chaos campaign that kills
  * pods mid-offload under the parallel engine and replays the same seed
  * sequentially, and a 2-node golden snapshot run at threads=4.
  */
@@ -15,6 +18,8 @@
 #include <fstream>
 #include <limits>
 #include <map>
+#include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -286,6 +291,226 @@ TEST(LpSync, BoundedChannelOverflowFailsFast)
             sched.post(0, 1.0, [] {});
     });
     EXPECT_THROW(sched.run_until(10.0), std::length_error);
+}
+
+// ---------------------------------------------------------------------
+// Activity-driven engine: only LPs with events due run; the LP heap's
+// keys stay exact under hub-phase schedules and cancels; idle LP clocks
+// read the hub phase's t0. Every scenario runs at threads = 1 and 4 and
+// the two runs must agree.
+// ---------------------------------------------------------------------
+
+namespace {
+
+/** What a scenario observed; compared across thread counts. */
+struct LpTrace {
+    std::vector<std::vector<SimTime>> fired; ///< per LP, event times
+    std::vector<SimTime> hub_seen;           ///< values read by hub events
+    std::uint64_t windows = 0;
+    std::uint64_t hub_phases = 0;
+    std::uint64_t lp_runs = 0;
+    SimTime end = 0.0;
+
+    bool operator==(const LpTrace &o) const
+    {
+        return fired == o.fired && hub_seen == o.hub_seen &&
+               windows == o.windows && hub_phases == o.hub_phases &&
+               lp_runs == o.lp_runs && end == o.end;
+    }
+};
+
+/** Hub + @p n LPs under one scheduler; each LP event appends its time
+ *  to the LP's own log (LPs share nothing inside a window). */
+struct LpRig {
+    Simulator hub;
+    std::vector<std::unique_ptr<Simulator>> lps;
+    LpScheduler sched;
+    LpTrace trace;
+
+    LpRig(std::size_t n, double lookahead, std::size_t threads)
+        : sched(hub, [&] {
+              LpScheduler::Config c;
+              c.lookahead = lookahead;
+              c.threads = threads;
+              return c;
+          }())
+    {
+        trace.fired.resize(n);
+        for (std::size_t i = 0; i < n; ++i) {
+            lps.push_back(std::make_unique<Simulator>());
+            sched.add_lp(*lps.back());
+        }
+    }
+
+    windserve::sim::EventHandle at(std::size_t i, SimTime t)
+    {
+        return lps[i]->schedule_at(t, [this, i] { log(i); });
+    }
+
+    void log(std::size_t i) { trace.fired[i].push_back(lps[i]->now()); }
+
+    LpTrace run(SimTime horizon)
+    {
+        trace.end = sched.run_until(horizon);
+        trace.windows = sched.windows();
+        trace.hub_phases = sched.hub_phases();
+        trace.lp_runs = sched.lp_runs();
+        return trace;
+    }
+};
+
+/** Run @p scenario at threads 1 and 4; they must agree exactly. */
+template <class Scenario>
+LpTrace
+at_both_thread_counts(Scenario scenario)
+{
+    LpTrace seq = scenario(std::size_t{1});
+    LpTrace par = scenario(std::size_t{4});
+    EXPECT_TRUE(seq == par) << "threads=1 and threads=4 disagree";
+    return seq;
+}
+
+} // namespace
+
+TEST(LpActivity, IdleLpsAreNeverRun)
+{
+    LpTrace t = at_both_thread_counts([](std::size_t threads) {
+        LpRig rig(64, 0.01, threads);
+        for (SimTime when : {0.1, 0.2, 0.3, 0.5})
+            rig.at(5, when);
+        for (SimTime when : {0.15, 0.35, 0.505})
+            rig.at(40, when);
+        return rig.run(10.0);
+    });
+    // One window per isolated event, plus one at 0.5 that runs both
+    // LPs (0.505 lies inside [0.5, 0.51)). The other 62 never run.
+    EXPECT_EQ(t.windows, 6u);
+    EXPECT_EQ(t.lp_runs, 7u);
+    EXPECT_EQ(t.fired[5], (std::vector<SimTime>{0.1, 0.2, 0.3, 0.5}));
+    EXPECT_EQ(t.fired[40], (std::vector<SimTime>{0.15, 0.35, 0.505}));
+    EXPECT_DOUBLE_EQ(t.end, 0.505);
+}
+
+TEST(LpActivity, HubScheduleEarlierThanHeadWakesIdleLp)
+{
+    LpTrace t = at_both_thread_counts([](std::size_t threads) {
+        LpRig rig(3, 0.01, threads);
+        rig.at(1, 5.0); // LP 1's head, keyed at 5.0
+        rig.at(0, 2.0);
+        rig.hub.schedule_at(1.0, [&rig] {
+            // Decrease-key: LP 1's next event moves from 5.0 to 1.5.
+            rig.lps[1]->schedule(0.5, [&rig] { rig.log(1); });
+        });
+        rig.hub.schedule_at(1.7, [&rig] {
+            rig.trace.hub_seen.push_back(
+                static_cast<double>(rig.trace.fired[1].size()));
+        });
+        return rig.run(10.0);
+    });
+    EXPECT_EQ(t.fired[1], (std::vector<SimTime>{1.5, 5.0}));
+    // The hub event at 1.7 runs after LP 1's 1.5 event, not before.
+    EXPECT_EQ(t.hub_seen, (std::vector<SimTime>{1.0}));
+    EXPECT_EQ(t.windows, 3u);
+    EXPECT_EQ(t.hub_phases, 2u);
+}
+
+TEST(LpActivity, HubCancelOfLpHeadNeitherStallsNorShiftsWindows)
+{
+    auto scenario = [](bool with_cancelled) {
+        return [with_cancelled](std::size_t threads) {
+            LpRig rig(2, 1.0, threads);
+            if (with_cancelled) {
+                windserve::sim::EventHandle h = rig.at(1, 2.0);
+                rig.hub.schedule_at(1.0,
+                                    [&rig, h] { rig.lps[1]->cancel(h); });
+            } else {
+                rig.hub.schedule_at(1.0, [] {});
+            }
+            rig.at(1, 6.0);
+            rig.at(0, 3.0);
+            rig.at(0, 4.5);
+            return rig.run(100.0);
+        };
+    };
+    LpTrace cancelled = at_both_thread_counts(scenario(true));
+    LpTrace control = at_both_thread_counts(scenario(false));
+    // The stale 2.0 key must not open a window at 2.0 ([2, 3) would
+    // also push LP 0's 3.0 event into a later window).
+    EXPECT_TRUE(cancelled == control);
+    EXPECT_EQ(cancelled.fired[1], (std::vector<SimTime>{6.0}));
+    EXPECT_EQ(cancelled.windows, 3u);
+    EXPECT_DOUBLE_EQ(cancelled.end, 6.0);
+}
+
+TEST(LpActivity, LongIdleLpReadsT0InLaterHubPhase)
+{
+    LpTrace t = at_both_thread_counts([](std::size_t threads) {
+        LpRig rig(2, 0.01, threads);
+        for (int i = 1; i <= 9; ++i)
+            rig.at(0, 0.1 * i);
+        rig.hub.schedule_at(0.95, [&rig] {
+            // LP 1 has been idle through nine windows and a hub phase.
+            rig.trace.hub_seen.push_back(rig.lps[1]->now());
+            rig.trace.hub_seen.push_back(rig.lps[0]->now());
+            // schedule() on the idle LP is relative to the hub's t0.
+            rig.lps[1]->schedule(0.01, [&rig] { rig.log(1); });
+        });
+        rig.hub.schedule_at(0.5, [&rig] {
+            rig.trace.hub_seen.push_back(rig.lps[1]->now());
+        });
+        return rig.run(10.0);
+    });
+    EXPECT_EQ(t.hub_seen, (std::vector<SimTime>{0.5, 0.95, 0.95}));
+    EXPECT_EQ(t.fired[1], (std::vector<SimTime>{0.96}));
+    // LP 1 ran exactly once; LP 0 once per event.
+    EXPECT_EQ(t.lp_runs, 10u);
+}
+
+TEST(LpActivity, ThrowingRunLeavesNoDanglingLpClock)
+{
+    for (bool from_hub : {false, true}) {
+        std::vector<std::vector<SimTime>> clocks;
+        for (std::size_t threads : {1u, 4u}) {
+            auto hub = std::make_unique<Simulator>();
+            std::vector<std::unique_ptr<Simulator>> lps;
+            for (int i = 0; i < 4; ++i)
+                lps.push_back(std::make_unique<Simulator>());
+            {
+                LpScheduler::Config cfg;
+                cfg.lookahead = 0.01;
+                cfg.threads = threads;
+                LpScheduler sched(*hub, cfg);
+                for (auto &lp : lps)
+                    sched.add_lp(*lp);
+                lps[0]->schedule_at(0.2, [] {});
+                hub->schedule_at(0.3, [] {}); // raises the clock floor
+                lps[2]->schedule_at(9.0, [] {});
+                auto boom = [] { throw std::runtime_error("boom"); };
+                if (from_hub)
+                    hub->schedule_at(0.5, boom);
+                else
+                    lps[3]->schedule_at(0.5, boom);
+                EXPECT_THROW(sched.run_until(10.0), std::runtime_error)
+                    << "from_hub=" << from_hub << " threads=" << threads;
+                EXPECT_FALSE(sched.in_hub_phase());
+            }
+            // The scheduler is gone; its LPs keep working standalone.
+            std::vector<SimTime> seen;
+            for (auto &lp : lps) {
+                seen.push_back(lp->now());
+                bool ran = false;
+                lp->schedule(0.25, [&ran] { ran = true; });
+                lp->run_until(8.0);
+                EXPECT_TRUE(ran);
+            }
+            clocks.push_back(seen);
+        }
+        EXPECT_EQ(clocks[0], clocks[1]) << "from_hub=" << from_hub;
+        // The floor (0.5 for a hub throw, else 0.3) is baked in.
+        const SimTime floor = from_hub ? 0.5 : 0.3;
+        EXPECT_DOUBLE_EQ(clocks[0][1], floor);
+        EXPECT_DOUBLE_EQ(clocks[0][2], floor);
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -371,6 +371,44 @@ TEST(Telemetry, SampleGridFollowsConfiguredInterval)
     EXPECT_GE(times.back(), times[times.size() - 2]);
 }
 
+// The LP engine's counters are registered for multi-pod clusters only
+// and close on the scheduler's own run counters; a one-pod run adds no
+// ws_lp_* family.
+TEST(Telemetry, LpEngineCountersOnTwoNodeRun)
+{
+    auto cfg = telem_cell();
+    cfg.num_nodes = 2;
+    auto sys = instrumented_system(cfg);
+    auto *cs = dynamic_cast<core::ClusterServeSystem *>(sys.get());
+    ASSERT_NE(cs, nullptr);
+    const sim::LpScheduler *lp = cs->lp();
+    ASSERT_NE(lp, nullptr);
+    const obs::MetricRegistry &reg = sys->telemetry()->registry();
+    auto last = [&](const char *family) {
+        const std::vector<double> &v = reg.series(family, "");
+        return v.empty() ? -1.0 : v.back();
+    };
+    EXPECT_EQ(last("ws_lp_windows_total"),
+              static_cast<double>(lp->windows()));
+    EXPECT_EQ(last("ws_lp_hub_phases_total"),
+              static_cast<double>(lp->hub_phases()));
+    EXPECT_EQ(last("ws_lp_messages_total"),
+              static_cast<double>(lp->messages_posted()));
+    EXPECT_EQ(last("ws_lp_runs_total"), static_cast<double>(lp->lp_runs()));
+    EXPECT_GT(lp->windows(), 0u);
+    // Two LPs: a window runs one or both of them, never more.
+    EXPECT_GE(lp->lp_runs(), lp->windows());
+    EXPECT_LE(lp->lp_runs(), 2 * lp->windows());
+    const std::string text = reg.prometheus_text();
+    EXPECT_NE(text.find("# TYPE ws_lp_runs_total counter"),
+              std::string::npos);
+
+    auto one_pod = instrumented_system(telem_cell());
+    EXPECT_EQ(one_pod->telemetry()->registry().prometheus_text().find(
+                  "ws_lp_"),
+              std::string::npos);
+}
+
 // ---------------------------------------------------------------------
 // Decision journal
 // ---------------------------------------------------------------------
