@@ -6,23 +6,17 @@
  * serving metrics at each size.
  *
  *   bench_scale [--json[=PATH]] [--jobs=J] [--requests=N] [--rate=R]
- *               [--audit] [--intra-threads=T]
- *               [--highwater=H] [--lowwater=L] [--spine-oversub=F]
+ *               [--audit] [--highwater=H] [--lowwater=L]
+ *               [--spine-oversub=F]
  *
- * --json emits BENCH_scale.json (schema checked by scale_smoke.cmake
- * and pdes_smoke.cmake; the committed copy at the repo root is the
- * release-bench baseline — no tolerance gate yet, it is the first
- * recorded figure). --requests is the trace size PER POD, so every
- * cluster size serves the same per-pod load (the paper's linear
- * scaling rule). --audit attaches the fail-fast invariant auditor to
- * every run.
- *
- * --intra-threads=T runs every point on the intra-run parallel engine
- * with T workers, then REPLAYS it at 1 worker: the JSON records both
- * wall clocks (`wall_s`, `wall_1t_s`), their ratio (`intra_speedup`)
- * and `threads_identical` — whether the two runs produced the same
- * per-request checksum, event count and finished total, which the
- * engine's determinism contract says they always must.
+ * --json emits BENCH_scale.json (schema checked by scale_smoke.cmake;
+ * the committed copy at the repo root is the release-bench baseline —
+ * no tolerance gate yet, it is the first recorded figure). --requests
+ * is the trace size PER POD, so every cluster size serves the same
+ * per-pod load (the paper's linear scaling rule). --audit attaches the
+ * fail-fast invariant auditor to every run. A malformed count (--jobs
+ * or --requests negative, not a number or below 1) prints the problem
+ * and exits 2, as does an unknown argument.
  *
  * --spine-oversub=F adds a fourth point: the 8-node cluster rerun on
  * an oversubscribed spine — every inter-node pair overridden to
@@ -38,15 +32,15 @@
  * see ROADMAP item 1).
  *
  * All serving metrics in the output are deterministic: the same seed
- * produces byte-identical figures at any --jobs and any
- * --intra-threads. Only wall_s/wall_1t_s and the derived
- * events_per_sec / intra_speedup vary run to run.
+ * produces byte-identical figures at any --jobs. Only wall_s and the
+ * derived events_per_sec vary run to run.
  */
 #include <algorithm>
 #include <chrono>
 #include <fstream>
 #include <iostream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -61,7 +55,6 @@ struct BenchConfig {
     std::size_t requests_per_pod = 400;
     double rate = 1.2;
     bool audit = false;
-    std::size_t intra_threads = 1;
     // Below ClusterConfig's 0.85/0.60 stock pair on purpose: the
     // balanced default load never crosses 0.85, so the headline sweep
     // would report cross_offloads == 0 forever (ROADMAP item 1). At
@@ -89,29 +82,16 @@ struct ScalePoint {
     std::uint64_t cross_redispatches = 0;
     std::uint64_t audit_events = 0;
     std::uint64_t checksum = 0; ///< order-independent per-request FNV
-    // intra-run parallelism (intra_threads > 1 adds a 1-thread replay)
-    std::size_t intra_threads = 1;
-    double wall_1t_s = 0.0;      ///< same point, 1 worker
-    double intra_speedup = 1.0;  ///< wall_1t_s / wall_s
-    bool threads_identical = true; ///< replay matched byte-for-byte
-    double spine_oversub = 1.0;  ///< 1.0 = uniform NIC fabric
+    double spine_oversub = 1.0; ///< 1.0 = uniform NIC fabric
 };
 
-struct OneRun {
-    double wall_s = 0.0;
-    std::uint64_t events = 0;
-    std::uint64_t checksum = 0;
-    std::size_t finished = 0;
-};
-
-OneRun
-run_once(const harness::ExperimentConfig &cfg, ScalePoint *pt)
+void
+run_once(const harness::ExperimentConfig &cfg, ScalePoint &pt)
 {
     auto system = harness::make_system(cfg);
     engine::RunOptions opts;
     opts.slo = cfg.scenario.slo;
     opts.horizon = cfg.horizon;
-    opts.intra_threads = cfg.intra_threads;
     if (cfg.audit) {
         audit::AuditConfig ac;
         ac.repro_seed = cfg.seed;
@@ -124,27 +104,18 @@ run_once(const harness::ExperimentConfig &cfg, ScalePoint *pt)
     auto run = system->run(trace, opts);
     auto t1 = std::chrono::steady_clock::now();
 
-    OneRun r;
-    r.wall_s = std::chrono::duration<double>(t1 - t0).count();
-    r.events = system->total_events_fired();
-    r.checksum = harness::result_checksum(run.requests);
-    r.finished = run.metrics.num_finished;
-    if (pt) {
-        pt->gpus = system->num_gpus();
-        pt->wall_s = r.wall_s;
-        pt->events = r.events;
-        pt->checksum = r.checksum;
-        pt->metrics = std::move(run.metrics);
-        if (auto *cs =
-                dynamic_cast<core::ClusterServeSystem *>(system.get())) {
-            pt->dispatches = cs->total_dispatches();
-            pt->cross_offloads = cs->cross_offloads();
-            pt->cross_redispatches = cs->cross_redispatches();
-        }
-        if (const audit::SimAuditor *aud = system->audit())
-            pt->audit_events = aud->events_audited();
+    pt.gpus = system->num_gpus();
+    pt.wall_s = std::chrono::duration<double>(t1 - t0).count();
+    pt.events = system->total_events_fired();
+    pt.checksum = harness::result_checksum(run.requests);
+    pt.metrics = std::move(run.metrics);
+    if (auto *cs = dynamic_cast<core::ClusterServeSystem *>(system.get())) {
+        pt.dispatches = cs->total_dispatches();
+        pt.cross_offloads = cs->cross_offloads();
+        pt.cross_redispatches = cs->cross_redispatches();
     }
-    return r;
+    if (const audit::SimAuditor *aud = system->audit())
+        pt.audit_events = aud->events_audited();
 }
 
 ScalePoint
@@ -159,7 +130,6 @@ run_point(std::size_t num_nodes, const BenchConfig &bc,
     cfg.per_gpu_rate = bc.rate;
     cfg.seed = 42;
     cfg.audit = bc.audit;
-    cfg.intra_threads = bc.intra_threads;
     cfg.offload_highwater = bc.highwater;
     cfg.offload_lowwater = bc.lowwater;
     if (spine_oversub > 1.0 && num_nodes > 1) {
@@ -180,26 +150,8 @@ run_point(std::size_t num_nodes, const BenchConfig &bc,
     pt.pods_per_node = cfg.pods_per_node;
     pt.pods = pods;
     pt.requests = cfg.num_requests;
-    pt.intra_threads = cfg.intra_threads;
     pt.spine_oversub = spine_oversub > 1.0 ? spine_oversub : 1.0;
-
-    run_once(cfg, &pt);
-
-    if (cfg.intra_threads > 1) {
-        // Determinism contract check + speedup denominator: the exact
-        // same point on 1 worker must match byte-for-byte.
-        harness::ExperimentConfig seq = cfg;
-        seq.intra_threads = 1;
-        OneRun one = run_once(seq, nullptr);
-        pt.wall_1t_s = one.wall_s;
-        pt.intra_speedup =
-            pt.wall_s > 0.0 ? one.wall_s / pt.wall_s : 1.0;
-        pt.threads_identical = one.checksum == pt.checksum &&
-                               one.events == pt.events &&
-                               one.finished == pt.metrics.num_finished;
-    } else {
-        pt.wall_1t_s = pt.wall_s;
-    }
+    run_once(cfg, pt);
     return pt;
 }
 
@@ -210,7 +162,7 @@ scale_json(const std::vector<ScalePoint> &points)
     out.precision(10);
     out << "{\n";
     out << "  \"bench\": \"scale\",\n";
-    out << "  \"schema_version\": 3,\n";
+    out << "  \"schema_version\": 4,\n";
     out << "  \"build\": \""
 #ifdef NDEBUG
         << "optimized"
@@ -218,9 +170,8 @@ scale_json(const std::vector<ScalePoint> &points)
         << "debug"
 #endif
         << "\",\n";
-    // Cores the host exposes: the intra_speedup figures are only
-    // meaningful relative to this (a 1-core host cannot show > 1x, so
-    // CI speedup gates arm on hw_threads, not unconditionally).
+    // Cores the host exposes: wall clocks taken at --jobs > 1 are only
+    // meaningful relative to this (points compete for cores).
     out << "  \"hw_threads\": "
         << std::max(1u, std::thread::hardware_concurrency()) << ",\n";
     out << "  \"sweep\": [\n";
@@ -252,12 +203,7 @@ scale_json(const std::vector<ScalePoint> &points)
             << ",\n";
         out << "      \"audit_events\": " << p.audit_events << ",\n";
         out << "      \"checksum\": " << p.checksum << ",\n";
-        out << "      \"intra_threads\": " << p.intra_threads << ",\n";
-        out << "      \"wall_1t_s\": " << p.wall_1t_s << ",\n";
-        out << "      \"intra_speedup\": " << p.intra_speedup << ",\n";
-        out << "      \"spine_oversub\": " << p.spine_oversub << ",\n";
-        out << "      \"threads_identical\": "
-            << (p.threads_identical ? "true" : "false") << "\n";
+        out << "      \"spine_oversub\": " << p.spine_oversub << "\n";
         out << "    }" << (i + 1 < points.size() ? "," : "") << "\n";
     }
     out << "  ]\n";
@@ -277,29 +223,33 @@ main(int argc, char **argv)
 
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
-        if (arg == "--json") {
-            json = true;
-        } else if (arg.rfind("--json=", 0) == 0) {
-            json = true;
-            json_path = arg.substr(7);
-        } else if (arg.rfind("--jobs=", 0) == 0) {
-            jobs = std::stoul(arg.substr(7));
-        } else if (arg.rfind("--requests=", 0) == 0) {
-            bc.requests_per_pod = std::stoul(arg.substr(11));
-        } else if (arg.rfind("--rate=", 0) == 0) {
-            bc.rate = std::stod(arg.substr(7));
-        } else if (arg.rfind("--intra-threads=", 0) == 0) {
-            bc.intra_threads = std::stoul(arg.substr(16));
-        } else if (arg.rfind("--highwater=", 0) == 0) {
-            bc.highwater = std::stod(arg.substr(12));
-        } else if (arg.rfind("--lowwater=", 0) == 0) {
-            bc.lowwater = std::stod(arg.substr(11));
-        } else if (arg.rfind("--spine-oversub=", 0) == 0) {
-            bc.spine_oversub = std::stod(arg.substr(16));
-        } else if (arg == "--audit") {
-            bc.audit = true;
-        } else {
-            std::cerr << "unknown argument: " << arg << "\n";
+        try {
+            if (arg == "--json") {
+                json = true;
+            } else if (arg.rfind("--json=", 0) == 0) {
+                json = true;
+                json_path = arg.substr(7);
+            } else if (arg.rfind("--jobs=", 0) == 0) {
+                jobs = harness::parse_count("--jobs", arg.substr(7), 1);
+            } else if (arg.rfind("--requests=", 0) == 0) {
+                bc.requests_per_pod =
+                    harness::parse_count("--requests", arg.substr(11), 1);
+            } else if (arg.rfind("--rate=", 0) == 0) {
+                bc.rate = std::stod(arg.substr(7));
+            } else if (arg.rfind("--highwater=", 0) == 0) {
+                bc.highwater = std::stod(arg.substr(12));
+            } else if (arg.rfind("--lowwater=", 0) == 0) {
+                bc.lowwater = std::stod(arg.substr(11));
+            } else if (arg.rfind("--spine-oversub=", 0) == 0) {
+                bc.spine_oversub = std::stod(arg.substr(16));
+            } else if (arg == "--audit") {
+                bc.audit = true;
+            } else {
+                std::cerr << "unknown argument: " << arg << "\n";
+                return 2;
+            }
+        } catch (const std::invalid_argument &e) {
+            std::cerr << e.what() << "\n";
             return 2;
         }
     }
@@ -315,19 +265,16 @@ main(int argc, char **argv)
         specs.push_back({8, bc.spine_oversub});
     std::vector<ScalePoint> points(specs.size());
     // Points are independent runs; slot-ordered results keep the output
-    // identical at any job count. With --intra-threads the wall clocks
-    // are only meaningful at --jobs=1 (otherwise points compete for
-    // cores); the deterministic columns are unaffected either way.
+    // identical at any job count.
     harness::parallel_for(points.size(), jobs, [&](std::size_t i) {
         points[i] = run_point(specs[i].nodes, bc, specs[i].oversub);
     });
 
     std::cout << "  gpus  nodes  pods   requests   finished      events"
-                 "    wall_s    Mev/s  offloads  speedup  oversub"
-                 "  identical\n";
+                 "    wall_s    Mev/s  offloads  oversub\n";
     for (const ScalePoint &p : points) {
         std::printf("%6zu %6zu %5zu %10zu %10zu %11llu %9.3f %8.2f %9llu"
-                    " %8.2f %8.1f %10s\n",
+                    " %8.1f\n",
                     p.gpus, p.num_nodes, p.pods, p.requests,
                     p.metrics.num_finished,
                     static_cast<unsigned long long>(p.events), p.wall_s,
@@ -335,8 +282,7 @@ main(int argc, char **argv)
                         ? static_cast<double>(p.events) / p.wall_s / 1e6
                         : 0.0,
                     static_cast<unsigned long long>(p.cross_offloads),
-                    p.intra_speedup, p.spine_oversub,
-                    p.threads_identical ? "yes" : "NO");
+                    p.spine_oversub);
     }
 
     if (json) {
@@ -347,14 +293,6 @@ main(int argc, char **argv)
         }
         out << scale_json(points);
         std::cout << "wrote " << json_path << "\n";
-    }
-    for (const ScalePoint &p : points) {
-        if (!p.threads_identical) {
-            std::cerr << "intra-thread identity FAILED at " << p.gpus
-                      << " GPUs: " << p.intra_threads
-                      << "-thread run diverged from the 1-thread replay\n";
-            return 1;
-        }
     }
     return 0;
 }

@@ -9,11 +9,9 @@
  *
  * Usage:
  *   fuzz_runner [--iters=N] [--seed=S] [--jobs=J] [--system=NAME|all]
- *               [--chaos] [--nodes=N] [--intra-threads=T]
- *               [--replicas=N] [--ctrl-chaos]
+ *               [--chaos] [--nodes=N] [--replicas=N] [--ctrl-chaos]
  *   fuzz_runner --repro-seed=S --repro-config=NAME [--chaos] [--nodes=N]
- *               [--intra-threads=T] [--replicas=N] [--ctrl-chaos]
- *               [--log=debug]
+ *               [--replicas=N] [--ctrl-chaos] [--log=debug]
  *
  * The repro form runs exactly one case — the one a failure printed —
  * optionally with leveled event logging for post-mortem inspection.
@@ -23,18 +21,19 @@
  * reproduces the faults too. --nodes=N replays every case on an
  * N-node cluster (sharded WindServe pods, replicated baselines) and,
  * under chaos, adds node-crash and NIC-outage classes.
- * --intra-threads=T runs multi-pod WindServe cases on the intra-run
- * parallel engine with T workers; it draws nothing from the case RNG,
- * so the same seed at any T (including 1) must produce the same
- * checksum — replay a parallel failure with T=1 to diff the engines.
  * --replicas=N runs WindServe cases under an N-replica control plane
- * (no RNG draw — a pure parameter like --intra-threads); --ctrl-chaos
- * adds leader crashes and control partitions to each case's schedule,
- * drawn strictly after every other axis, and defaults --replicas to 3
- * when not given explicitly.
+ * (no RNG draw — a pure parameter); --ctrl-chaos adds leader crashes
+ * and control partitions to each case's schedule, drawn strictly after
+ * every other axis, and defaults --replicas to 3 when not given
+ * explicitly.
+ *
+ * A malformed value (a bad system name, or a count that is negative,
+ * not a number, out of range or below its minimum of 1 for --jobs,
+ * --nodes and --replicas) prints the problem and exits 2, as does an
+ * unknown argument.
  */
-#include <cstdlib>
 #include <iostream>
+#include <stdexcept>
 #include <string>
 
 #include "windserve/windserve.hpp"
@@ -55,26 +54,21 @@ arg_value(const std::string &arg, const char *key, std::string &out)
 
 int
 repro(std::uint64_t seed, const std::string &config_name, bool chaos,
-      std::size_t nodes, std::size_t intra_threads, std::size_t replicas,
-      bool ctrl_chaos)
+      std::size_t nodes, std::size_t replicas, bool ctrl_chaos)
 {
     harness::SystemKind kind = harness::parse_system_kind(config_name);
     std::cout << "replaying seed " << seed << " on "
               << harness::to_string(kind)
               << (chaos ? " (chaos)" : "")
               << (nodes > 1 ? " (" + std::to_string(nodes) + " nodes)" : "")
-              << (intra_threads > 1
-                      ? " (" + std::to_string(intra_threads) +
-                            " intra-threads)"
-                      : "")
               << (replicas > 1
                       ? " (" + std::to_string(replicas) + " replicas)"
                       : "")
               << (ctrl_chaos ? " (ctrl-chaos)" : "")
               << "\n";
     harness::FuzzResult r = harness::run_fuzz_case(
-        harness::make_fuzz_config(seed, kind, chaos, nodes,
-                                  intra_threads, replicas, ctrl_chaos));
+        harness::make_fuzz_config(seed, kind, chaos, nodes, replicas,
+                                  ctrl_chaos));
     std::cout << "ok: " << r.audit_events << " events audited, "
               << r.finished << "/" << r.num_requests << " finished";
     if (chaos)
@@ -97,36 +91,39 @@ main(int argc, char **argv)
 
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i], v;
-        if (arg_value(arg, "--iters", v)) {
-            opt.iterations = std::stoul(v);
-        } else if (arg_value(arg, "--seed", v)) {
-            opt.base_seed = std::stoull(v);
-        } else if (arg_value(arg, "--jobs", v)) {
-            opt.jobs = std::stoul(v);
-        } else if (arg_value(arg, "--system", v)) {
-            if (v != "all")
-                opt.systems = {harness::parse_system_kind(v)};
-        } else if (arg_value(arg, "--repro-seed", v)) {
-            have_repro_seed = true;
-            repro_seed = std::stoull(v);
-        } else if (arg_value(arg, "--repro-config", v)) {
-            repro_config = v;
-        } else if (arg == "--chaos") {
-            opt.chaos = true;
-        } else if (arg_value(arg, "--nodes", v)) {
-            opt.nodes = std::stoul(v);
-        } else if (arg_value(arg, "--intra-threads", v)) {
-            opt.intra_threads = std::stoul(v);
-        } else if (arg_value(arg, "--replicas", v)) {
-            opt.replicas = std::stoul(v);
-        } else if (arg == "--ctrl-chaos") {
-            opt.ctrl_chaos = true;
-        } else if (arg_value(arg, "--log", v)) {
-            sim::Log::set_level(v == "trace"   ? sim::LogLevel::Trace
-                                : v == "debug" ? sim::LogLevel::Debug
-                                               : sim::LogLevel::Info);
-        } else {
-            std::cerr << "unknown argument: " << arg << "\n";
+        try {
+            if (arg_value(arg, "--iters", v)) {
+                opt.iterations = harness::parse_count("--iters", v);
+            } else if (arg_value(arg, "--seed", v)) {
+                opt.base_seed = harness::parse_count("--seed", v);
+            } else if (arg_value(arg, "--jobs", v)) {
+                opt.jobs = harness::parse_count("--jobs", v, 1);
+            } else if (arg_value(arg, "--system", v)) {
+                if (v != "all")
+                    opt.systems = {harness::parse_system_kind(v)};
+            } else if (arg_value(arg, "--repro-seed", v)) {
+                have_repro_seed = true;
+                repro_seed = harness::parse_count("--repro-seed", v);
+            } else if (arg_value(arg, "--repro-config", v)) {
+                repro_config = v;
+            } else if (arg == "--chaos") {
+                opt.chaos = true;
+            } else if (arg_value(arg, "--nodes", v)) {
+                opt.nodes = harness::parse_count("--nodes", v, 1);
+            } else if (arg_value(arg, "--replicas", v)) {
+                opt.replicas = harness::parse_count("--replicas", v, 1);
+            } else if (arg == "--ctrl-chaos") {
+                opt.ctrl_chaos = true;
+            } else if (arg_value(arg, "--log", v)) {
+                sim::Log::set_level(v == "trace"   ? sim::LogLevel::Trace
+                                    : v == "debug" ? sim::LogLevel::Debug
+                                                   : sim::LogLevel::Info);
+            } else {
+                std::cerr << "unknown argument: " << arg << "\n";
+                return 2;
+            }
+        } catch (const std::invalid_argument &e) {
+            std::cerr << e.what() << "\n";
             return 2;
         }
     }
@@ -139,7 +136,7 @@ main(int argc, char **argv)
     try {
         if (have_repro_seed)
             return repro(repro_seed, repro_config, opt.chaos, opt.nodes,
-                         opt.intra_threads, opt.replicas, opt.ctrl_chaos);
+                         opt.replicas, opt.ctrl_chaos);
 
         std::cout << "fuzzing " << opt.iterations << " cases x "
                   << opt.systems.size() << " systems (base seed "
@@ -147,10 +144,6 @@ main(int argc, char **argv)
                   << (opt.chaos ? ", chaos" : "")
                   << (opt.nodes > 1
                           ? ", " + std::to_string(opt.nodes) + " nodes"
-                          : "")
-                  << (opt.intra_threads > 1
-                          ? ", " + std::to_string(opt.intra_threads) +
-                                " intra-threads"
                           : "")
                   << (opt.replicas > 1
                           ? ", " + std::to_string(opt.replicas) +

@@ -56,7 +56,6 @@ SimAuditor::violate(std::string invariant, RequestId req, std::string detail)
 KvLedger &
 SimAuditor::kv_ledger(const std::string &owner)
 {
-    std::lock_guard<std::mutex> lock(mu_);
     return kv_.try_emplace(owner, owner).first->second;
 }
 
@@ -65,7 +64,6 @@ SimAuditor::on_kv_alloc(KvLedger &led, RequestId id,
                         std::size_t tokens, std::size_t blocks, bool applied,
                         std::size_t mgr_used, std::size_t mgr_total)
 {
-    std::lock_guard<std::mutex> lock(mu_);
     tick();
     if (led.used_ != mgr_used) {
         std::ostringstream os;
@@ -99,7 +97,6 @@ SimAuditor::on_kv_grow(KvLedger &led, RequestId id,
                        bool applied, std::size_t mgr_used,
                        std::size_t mgr_total)
 {
-    std::lock_guard<std::mutex> lock(mu_);
     tick();
     if (led.used_ != mgr_used) {
         std::ostringstream os;
@@ -139,7 +136,6 @@ SimAuditor::on_kv_release(KvLedger &led, RequestId id,
                           std::size_t blocks_freed, bool known,
                           std::size_t mgr_used)
 {
-    std::lock_guard<std::mutex> lock(mu_);
     tick();
     if (led.used_ != mgr_used) {
         std::ostringstream os;
@@ -176,7 +172,6 @@ SimAuditor::on_swap_out(const std::string &owner, RequestId id,
                         bool already_held, double pool_used,
                         double pool_capacity)
 {
-    std::lock_guard<std::mutex> lock(mu_);
     tick();
     PoolLedger &led = pools_[owner];
     if (std::abs(led.used - pool_used) > 1.0) {
@@ -208,7 +203,6 @@ void
 SimAuditor::on_swap_in(const std::string &owner, RequestId id, bool known,
                        double pool_used)
 {
-    std::lock_guard<std::mutex> lock(mu_);
     tick();
     PoolLedger &led = pools_[owner];
     if (std::abs(led.used - pool_used) > 1.0) {
@@ -237,7 +231,6 @@ void
 SimAuditor::on_transfer_submit(const std::string &chan, std::uint64_t id,
                                double bytes)
 {
-    std::lock_guard<std::mutex> lock(mu_);
     tick();
     auto &open = xfers_[chan];
     if (open.count(id)) {
@@ -253,7 +246,6 @@ void
 SimAuditor::on_transfer_append(const std::string &chan, std::uint64_t id,
                                double bytes, bool open)
 {
-    std::lock_guard<std::mutex> lock(mu_);
     tick();
     auto &chan_open = xfers_[chan];
     auto it = chan_open.find(id);
@@ -273,7 +265,6 @@ SimAuditor::on_transfer_complete(const std::string &chan, std::uint64_t id,
                                  double bytes, double begun, double end,
                                  double bandwidth, double latency)
 {
-    std::lock_guard<std::mutex> lock(mu_);
     tick();
     auto &chan_open = xfers_[chan];
     auto it = chan_open.find(id);
@@ -295,9 +286,9 @@ SimAuditor::on_transfer_complete(const std::string &chan, std::uint64_t id,
     // Link capacity: the wire cannot beat latency + bytes/bandwidth
     // from the moment the transfer occupied the link. Appended bytes
     // only extend the same slot, so the bound stays valid. The caller
-    // passes both endpoints of the interval from its OWN clock — under
-    // intra-run parallelism sim_.now() is the hub clock, which lags a
-    // pod-side completion by up to the lookahead window.
+    // passes both endpoints of the interval from its OWN clock — in a
+    // multi-pod run sim_.now() is the hub clock, which lags a pod-side
+    // completion by up to the lookahead window.
     double elapsed = end - begun;
     double min_time = latency + bytes / bandwidth;
     double ttol = cfg_.time_tolerance + 1e-9 * std::max(elapsed, min_time);
@@ -383,7 +374,6 @@ SimAuditor::edge_allowed(RequestState from, RequestState to) const
 void
 SimAuditor::on_transition(Request &r, RequestState to)
 {
-    std::lock_guard<std::mutex> lock(mu_);
     tick();
     if (!edge_allowed(r.state, to)) {
         std::ostringstream os;
@@ -398,7 +388,6 @@ void
 SimAuditor::on_instance_crash(const std::string &owner, std::size_t mgr_used,
                               double pool_used)
 {
-    std::lock_guard<std::mutex> lock(mu_);
     tick();
     KvLedger &led = kv_.try_emplace(owner, owner).first->second;
     if (mgr_used != 0 || led.used_ != 0 || !led.blocks_.empty()) {
@@ -430,7 +419,6 @@ void
 SimAuditor::on_dispatch(RequestId id, std::size_t prompt_tokens,
                         std::size_t slots)
 {
-    std::lock_guard<std::mutex> lock(mu_);
     tick();
     if (slots < prompt_tokens) {
         std::ostringstream os;
@@ -443,7 +431,6 @@ SimAuditor::on_dispatch(RequestId id, std::size_t prompt_tokens,
 void
 SimAuditor::on_reschedule(RequestId id, double occupancy, double trigger)
 {
-    std::lock_guard<std::mutex> lock(mu_);
     tick();
     if (occupancy + 1e-9 < trigger) {
         std::ostringstream os;
@@ -460,7 +447,6 @@ SimAuditor::on_reschedule(RequestId id, double occupancy, double trigger)
 void
 SimAuditor::on_ctrl_elected(std::uint64_t term, std::size_t replica)
 {
-    std::lock_guard<std::mutex> lock(mu_);
     tick();
     auto [it, inserted] = ctrl_leaders_.emplace(term, replica);
     if (!inserted && it->second != replica) {
@@ -485,7 +471,6 @@ void
 SimAuditor::on_ctrl_commit(std::size_t index, std::uint64_t term,
                            std::uint64_t seq)
 {
-    std::lock_guard<std::mutex> lock(mu_);
     tick();
     auto [it, inserted] = ctrl_committed_.emplace(index, CtrlEntry{term, seq});
     if (!inserted && (it->second.term != term || it->second.seq != seq)) {
@@ -500,7 +485,6 @@ SimAuditor::on_ctrl_commit(std::size_t index, std::uint64_t term,
 void
 SimAuditor::on_ctrl_apply(std::uint64_t seq, RequestId req)
 {
-    std::lock_guard<std::mutex> lock(mu_);
     tick();
     auto [it, inserted] = ctrl_applied_.emplace(seq, req);
     if (!inserted) {
@@ -519,7 +503,6 @@ void
 SimAuditor::finish_run(const std::vector<Request> &requests,
                        std::size_t num_finished, std::size_t num_unfinished)
 {
-    std::lock_guard<std::mutex> lock(mu_);
     tick();
     std::size_t finished_states = 0;
     // Terminal = Finished or Aborted: neither may leave ledger residue.

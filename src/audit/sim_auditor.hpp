@@ -43,7 +43,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <map>
-#include <mutex>
 #include <stdexcept>
 #include <string>
 #include <unordered_map>
@@ -174,8 +173,8 @@ class SimAuditor
                             double bytes, bool open);
 
     /** @p begun: when the transfer occupied the link (left the queue);
-     *  @p end: the completion time ON THE CALLER'S CLOCK. Under
-     *  intra-run parallelism a pod-owned channel completes on its LP's
+     *  @p end: the completion time ON THE CALLER'S CLOCK. In a
+     *  multi-pod run a pod-owned channel completes on its LP's
      *  simulator while the auditor's timebase is the hub, so the
      *  capacity bound must use the caller's clock, not sim_.now(). */
     void on_transfer_complete(const std::string &chan, std::uint64_t id,
@@ -309,13 +308,6 @@ class SimAuditor
     /** allowed() plus the fault-recovery edges when enabled. */
     bool edge_allowed(workload::RequestState from,
                       workload::RequestState to) const;
-
-    // One auditor serves every LP of a parallel run (lp.hpp), so pod
-    // threads report concurrently during windows; a single mutex keeps
-    // the shadow ledgers coherent. The pod-name-prefixed owner keys
-    // stay disjoint per pod, so counts — hence events_audited() — are
-    // order-independent and thread-count identical.
-    mutable std::mutex mu_;
 
     const sim::Simulator &sim_;
     AuditConfig cfg_;

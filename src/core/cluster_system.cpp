@@ -105,15 +105,8 @@ ClusterServeSystem::ClusterServeSystem(ClusterConfig cfg)
 
         PodHooks hooks;
         hooks.on_finished = [this, k](Request *r) {
-            // Balancer accounting lives on the hub. Mid-window the pod
-            // may not touch it: ship a zero-delay message instead (the
-            // release lands at the exact finish timestamp).
-            if (!lp_ || lp_->in_hub_phase()) {
-                retire_finished(r);
-                return;
-            }
-            lp_->post(k, pod_sims_[k]->now(),
-                      [this, r] { retire_finished(r); });
+            // Balancer accounting lives on the hub.
+            on_hub(k, [this, r] { retire_finished(r); });
         };
         hooks.offload_decode = [this](Pod &p, Request *r) {
             return maybe_offload(p, r);
@@ -126,15 +119,10 @@ ClusterServeSystem::ClusterServeSystem(ClusterConfig cfg)
             sweep_cross_transfers(p, victims);
         };
         if (multi) {
-            // The injector runs on the hub; recovery-window closes that
-            // happen mid-window travel as zero-delay messages.
+            // The injector runs on the hub clock.
             hooks.decode_ready = [this](Pod &p, Request *r) {
-                if (!lp_ || lp_->in_hub_phase()) {
-                    faults()->note_decode_ready(r);
-                    return;
-                }
-                lp_->post(p.index(), pod_sims_[p.index()]->now(),
-                          [this, r] { faults()->note_decode_ready(r); });
+                on_hub(p.index(),
+                       [this, r] { faults()->note_decode_ready(r); });
             };
         }
         pods_.push_back(std::make_unique<Pod>(
@@ -196,37 +184,20 @@ ClusterServeSystem::ClusterServeSystem(ClusterConfig cfg)
         ctrl_ = std::make_unique<ctrl::ControlPlane>(sim_, cc);
         // KV-directory coherence: each pod's BackupRegistry publishes
         // backup growth / drops / crash wipes into the cluster-wide
-        // directory. The directory lives on the hub, so pod-thread
-        // notifications travel as timestamped hub messages mid-window.
+        // directory, which lives on the hub.
         for (std::size_t k = 0; k < pods_.size(); ++k) {
             kvcache::BackupRegistry::Listener lis;
             lis.on_record = [this, k](kvcache::ReqId id,
                                       std::size_t tokens) {
-                auto fn = [this, k, id, tokens] {
+                on_hub(k, [this, k, id, tokens] {
                     ctrl_->directory().record(id, k, tokens);
-                };
-                if (!lp_ || lp_->in_hub_phase())
-                    fn();
-                else
-                    lp_->post(k, pod_sims_[k]->now(), fn);
+                });
             };
             lis.on_drop = [this, k](kvcache::ReqId id) {
-                auto fn = [this, k, id] {
-                    ctrl_->directory().drop(id, k);
-                };
-                if (!lp_ || lp_->in_hub_phase())
-                    fn();
-                else
-                    lp_->post(k, pod_sims_[k]->now(), fn);
+                on_hub(k, [this, k, id] { ctrl_->directory().drop(id, k); });
             };
             lis.on_clear = [this, k] {
-                auto fn = [this, k] {
-                    ctrl_->directory().invalidate_pod(k);
-                };
-                if (!lp_ || lp_->in_hub_phase())
-                    fn();
-                else
-                    lp_->post(k, pod_sims_[k]->now(), fn);
+                on_hub(k, [this, k] { ctrl_->directory().invalidate_pod(k); });
             };
             pods_[k]->backup_registry().set_listener(std::move(lis));
         }
@@ -307,15 +278,15 @@ ClusterServeSystem::maybe_offload(Pod &src, Request *r)
     if (!cfg_.allow_cross_pod || pods_.size() < 2)
         return false;
     const std::size_t k = src.index();
-    // Local-only admission test — the pod's own thread may not read
-    // remote pod state mid-window. The remote scan happens on the hub
+    // Local-only admission test — mid-window, remote pods may be behind
+    // or ahead of this pod's clock. The remote scan happens on the hub
     // timeline one control-latency later, when every pod's state at
     // that timestamp is exact.
     if (!src.decode_instance().is_down() &&
         src.decode_instance().kv_used_fraction() < cfg_.offload_highwater)
         return false;
     src.hold_for_offload(r);
-    lp_->post(k, pod_sims_[k]->now() + ctl_latency_,
+    lp_->post(pod_sims_[k]->now() + ctl_latency_,
               [this, k, r, inc = r->incarnation] {
                   if (!ctrl_) {
                       decide_offload(k, r, inc);
@@ -432,9 +403,10 @@ ClusterServeSystem::wire_trace(obs::TraceRecorder &rec)
 {
     trace_master_ = &rec;
     if (!pod_sims_.empty()) {
-        // Each logical process records into a private shard (its own
-        // timebase, written only by its own thread); replay() absorbs
-        // the shards back into the master in pod order.
+        // Each logical process records into a private shard stamped
+        // with its own clock (the master reads the hub clock, which
+        // lags inside a window); replay() absorbs the shards back into
+        // the master in pod order.
         trace_shards_.reserve(pods_.size());
         for (std::size_t k = 0; k < pods_.size(); ++k) {
             trace_shards_.push_back(
@@ -520,7 +492,7 @@ ClusterServeSystem::wire_telemetry(obs::Telemetry &t)
     telemetry_tick_ = std::max(t.config().sample_every, 0.0);
     if (!pod_sims_.empty()) {
         for (auto &s : pod_sims_)
-            t.arm_lp(*s); // attribute pod-thread events to the profiler
+            t.arm_lp(*s); // attribute pod events to the profiler
         if (t.journal()) {
             // Pod-side decisions journal into per-pod shards; replay()
             // merges them back (time order, pod-index tie-break).
@@ -597,7 +569,7 @@ ClusterServeSystem::wire_telemetry(obs::Telemetry &t)
                   "Outstanding tokens charged to each pod");
     }
     if (ctrl_) {
-        // The control plane runs on the hub thread; its failover
+        // The control plane runs on the hub timeline; its failover
         // decisions journal straight into the master (merge_shards
         // stable-sorts, keeping master entries first on time ties).
         if (t.journal())
@@ -657,7 +629,6 @@ ClusterServeSystem::replay(const std::vector<workload::Request> &trace,
         sim::LpScheduler::Config lc;
         lc.lookahead = ctl_latency_;
         lc.window = cfg_.lp_window;
-        lc.threads = run_intra_threads_;
         lc.tick = telemetry_tick_;
         lp_ = std::make_unique<sim::LpScheduler>(sim_, lc);
         for (auto &s : pod_sims_)
@@ -681,8 +652,9 @@ ClusterServeSystem::replay(const std::vector<workload::Request> &trace,
         p->finalize_stats();
     // Fold the per-pod observability shards back into the shared
     // exports, in pod order, BEFORE run() appends request lifecycles
-    // and counter tracks — so every export is byte-identical at any
-    // --intra-threads.
+    // and counter tracks. Each shard stamped its events with its own
+    // pod clock (the hub clock lags inside a window), and the merge
+    // fixes the tie order at equal times: master first, then pod index.
     if (trace_master_) {
         for (auto &shard : trace_shards_)
             trace_master_->absorb_shard(*shard);

@@ -22,31 +22,29 @@
  * no NIC channels, no logical processes and unprefixed instance and
  * channel names.
  *
- * Intra-run parallelism: a multi-pod cluster is partitioned into
- * logical processes — one sim::Simulator per pod, coordinated by a
- * sim::LpScheduler around the hub simulator that owns arrivals, the
- * balancer, the NIC fabric and the chaos engine (see simcore/lp.hpp).
- * Pods advance concurrently inside conservative bounded-lag windows;
- * cross-pod interactions are timestamped messages through the
- * scheduler's bounded channels. The decode-offload decision models an
- * explicit control-plane latency (cluster_lookahead_floor(), the
- * fabric's base latency): the source pod parks the request
- * (Pod::hold_for_offload) and the hub scans remote pressure one
- * lookahead later, when every pod's state at that timestamp is exact.
- * RunOptions::intra_threads picks the worker count; any value
- * (including 1) produces byte-identical results, because windows,
- * message order and hub decisions are all thread-independent.
+ * Logical processes: a multi-pod cluster is partitioned into one
+ * sim::Simulator per pod, coordinated by a sim::LpScheduler around the
+ * hub simulator that owns arrivals, the balancer, the NIC fabric and
+ * the chaos engine (see simcore/lp.hpp). Only pods with events due run
+ * in each conservative bounded-lag window; cross-pod interactions are
+ * timestamped messages posted onto the hub timeline. The
+ * decode-offload decision models an explicit control-plane latency
+ * (cluster_lookahead_floor(), the fabric's base latency): the source
+ * pod parks the request (Pod::hold_for_offload) and the hub scans
+ * remote pressure one lookahead later, when every pod's state at that
+ * timestamp is exact.
  *
  * Determinism: pod k runs on seed `base ^ (k * golden)` (pod 0 keeps
  * the base seed), the balancer is RNG-free, and all cross-pod traffic
  * flows through the hub simulator's timeline — a cluster run stays a
  * pure function of (config, workload, seed), bit-identical at any
- * --jobs and any --intra-threads.
+ * --jobs.
  */
 #pragma once
 
 #include <map>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "core/pod.hpp"
@@ -84,12 +82,11 @@ struct ClusterConfig {
     double offload_lowwater = 0.60;
 
     /**
-     * Bounded-lag window quantum (simulated seconds) for the intra-run
-     * parallel engine: pods advance in windows of max(lookahead,
-     * lp_window) between hub events. Results are byte-identical at any
-     * thread count for a given value, but not at any value: hub
-     * handlers see pod state up to one window ahead, so the quantum is
-     * part of the simulated semantics. (A 2x2 cluster of 300 requests
+     * Bounded-lag window quantum (simulated seconds) for the LP
+     * engine: pods advance in windows of max(lookahead, lp_window)
+     * between hub events. Results depend on the value: hub handlers
+     * see pod state up to one window ahead, so the quantum is part of
+     * the simulated semantics. (A 2x2 cluster of 300 requests
      * fires 9,398 events at 0, 0.5 ms and 1 ms, but 8,609 at 10 ms and
      * 9,404 at 100 ms, with different TTFT and makespan.) Any value
      * up to the lookahead floor, 0 included, runs windows of exactly
@@ -205,6 +202,17 @@ class ClusterServeSystem : public engine::ServingSystem
                         std::uint32_t inc);
     /** on_finished bookkeeping (balancer release) on the hub timeline. */
     void retire_finished(workload::Request *r);
+    /** Run @p fn on the hub timeline at pod @p k's time: at once from a
+     *  hub phase (or a single pod), else as a zero-delay hub message,
+     *  since mid-window the pod's clock runs ahead of the hub's. */
+    template <class F>
+    void on_hub(std::size_t k, F &&fn)
+    {
+        if (!lp_ || lp_->in_hub_phase())
+            fn();
+        else
+            lp_->post(pod_sims_[k]->now(), std::forward<F>(fn));
+    }
     /** Pod hook: re-home a victim whose pod is fully down. */
     bool maybe_redispatch_remote(Pod &src, workload::Request *r);
     /** Pod hook: sweep cross-pod copies out of a crashed prefill. */
@@ -218,7 +226,7 @@ class ClusterServeSystem : public engine::ServingSystem
     std::size_t home_of(const workload::Request *r) const;
     static double tokens_of(const workload::Request *r);
     /** Pods whose instances are not both down, refilled into live_
-     *  on each call (hub thread only). */
+     *  on each call (hub timeline only). */
     const std::vector<bool> &live_pods();
 
     ClusterConfig cfg_;
@@ -227,15 +235,16 @@ class ClusterServeSystem : public engine::ServingSystem
     /** One simulator per pod (multi-pod only; empty = shared path). */
     std::vector<std::unique_ptr<sim::Simulator>> pod_sims_;
     std::vector<std::unique_ptr<Pod>> pods_;
-    /** Built at replay() start from run_intra_threads_ (multi-pod). */
+    /** Built at replay() start (multi-pod only). */
     std::unique_ptr<sim::LpScheduler> lp_;
     /** cluster_lookahead_floor(topo_); 0 for single-pod clusters. */
     double ctl_latency_ = 0.0;
     /** Telemetry sample period, captured by wire_telemetry() so the
      *  LP windows never run a pod past a pending sample tick. */
     double telemetry_tick_ = 0.0;
-    /** Per-pod observability shards (multi-pod, merged at replay end
-     *  so exports are thread-count independent). */
+    /** Per-pod observability shards (multi-pod): each stamps its
+     *  pod's own clock, and the merge at replay end fixes the order
+     *  of equal-time entries (master first, then pod index). */
     obs::TraceRecorder *trace_master_ = nullptr;
     std::vector<std::unique_ptr<obs::TraceRecorder>> trace_shards_;
     obs::DecisionJournal *journal_master_ = nullptr;

@@ -221,9 +221,10 @@ Pod::wire_telemetry(obs::Telemetry &t, const std::string &pod_label)
                 },
                 "Proactive KV backups taken");
 
-    // Under intra-run parallelism dispatch decisions are made on the
-    // pod's own thread: write them into the pod's private shard (merged
-    // at end of replay) instead of the shared journal.
+    // In a multi-pod cluster dispatch decisions are made inside LP
+    // windows: write them into the pod's private shard (merged in
+    // time, then pod order at end of replay) instead of the shared
+    // journal.
     scheduler_->coordinator().set_journal(journal_ ? journal_
                                                    : t.journal());
 }

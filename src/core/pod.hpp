@@ -110,9 +110,9 @@ struct PodHooks {
     /**
      * A request reached a decode queue (or finished) — the chaos
      * engine's recovery-window close. Installed by owners whose fault
-     * injector lives on a different simulator than the pod (intra-run
-     * parallel clusters route the notification through the hub's
-     * message channel); when absent the pod calls
+     * injector lives on a different simulator than the pod (multi-pod
+     * clusters post the notification onto the hub timeline, whose
+     * clock the injector runs on); when absent the pod calls
      * FaultInjector::note_decode_ready() directly. Only invoked while
      * a fault injector is wired.
      */
@@ -196,10 +196,10 @@ class Pod
     /**
      * Route this pod's decision-journal entries (dispatch decisions,
      * post-fault re-dispatches) into @p j instead of the telemetry's
-     * shared journal. Under intra-run parallelism each pod writes a
-     * private shard on its own thread; the owner merges the shards
-     * back into the shared journal at end of replay. Call before
-     * wire_telemetry().
+     * shared journal. In a multi-pod cluster each pod writes a private
+     * shard; the owner merges the shards back into the shared journal
+     * at end of replay, which fixes the order of equal-time entries
+     * (master first, then pod index). Call before wire_telemetry().
      */
     void set_journal_shard(obs::DecisionJournal *j) { journal_ = j; }
 

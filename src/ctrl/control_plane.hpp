@@ -101,7 +101,7 @@ class ControlPlane
     ControlPlane &operator=(const ControlPlane &) = delete;
 
     void set_audit(audit::SimAuditor *a) { audit_ = a; }
-    /** Failover decisions are journaled here (hub-thread only). */
+    /** Failover decisions are journaled here (hub timeline only). */
     void set_journal(obs::DecisionJournal *j) { journal_ = j; }
 
     /** Arm the election timers; call once at the start of replay. */

@@ -1,7 +1,5 @@
 #include "engine/serving_system.hpp"
 
-#include <algorithm>
-
 #include "fault/fault_injector.hpp"
 #include "obs/trace_recorder.hpp"
 #include "simcore/simulator.hpp"
@@ -156,7 +154,6 @@ ServingSystem::run(const std::vector<workload::Request> &trace,
         attach_faults(fc);
     }
 
-    run_intra_threads_ = std::max<std::size_t>(opts.intra_threads, 1);
     replay(trace, opts.horizon);
 
     if (telemetry_)
@@ -185,7 +182,7 @@ ServingSystem::run(const std::vector<workload::Request> &trace,
     if (trace_) {
         // Lifecycle spans are derived from the final timestamps, after
         // the replay: emitted in request order, so the trace is a pure
-        // function of (config, workload) regardless of thread count.
+        // function of (config, workload).
         for (const auto &r : out.requests)
             trace_->record_request_lifecycle(r);
         // Sampled metric series render as Perfetto counter tracks

@@ -74,14 +74,9 @@ struct RunOptions {
     /** Attach per-run obs::Telemetry (metric sampling, scheduler
      *  decision journal, event-pump self-profiler). */
     std::optional<obs::TelemetryConfig> telemetry{};
-    /**
-     * Intra-run worker threads for systems that partition a single
-     * replay into logical processes (sim::LpScheduler) — today the
-     * multi-pod ClusterServeSystem; every other system pumps one queue
-     * and ignores the value. The parallel engine's contract: any
-     * thread count (including 1) produces byte-identical metrics,
-     * traces, telemetry exports, and events_fired.
-     */
+    /** Ignored: the LP engine always runs on the calling thread. Kept
+     *  only because the benchmark driver still sets it; the next
+     *  benchmark change deletes it. */
     std::size_t intra_threads = 1;
 };
 
@@ -98,7 +93,7 @@ class ServingSystem
     virtual std::size_t num_gpus() const = 0;
 
     /** The simulation kernel this deployment runs on. For partitioned
-     *  systems (intra-run parallelism) this is the HUB simulator. */
+     *  systems (sim::LpScheduler) this is the HUB simulator. */
     virtual sim::Simulator &simulator() = 0;
 
     /** Events fired across ALL of the run's simulators — equal to
@@ -150,10 +145,6 @@ class ServingSystem
     /** Replay the trace on the simulation kernel (system-specific). */
     virtual void replay(const std::vector<workload::Request> &trace,
                         double horizon) = 0;
-
-    /** RunOptions::intra_threads, stashed by run() before replay() for
-     *  systems that partition the replay across worker threads. */
-    std::size_t run_intra_threads_ = 1;
 
     /** Fill instance-level utilization/counters into @p m. */
     virtual void fill_system_metrics(metrics::RunMetrics &m) = 0;

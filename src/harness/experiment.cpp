@@ -171,9 +171,6 @@ run_experiment(const ExperimentConfig &cfg)
             ac.repro_extra += " --nodes=" + std::to_string(cfg.num_nodes);
         // Strictly appended after every historical field so old
         // --repro-seed lines replay byte-identically.
-        if (cfg.intra_threads > 1)
-            ac.repro_extra +=
-                " --intra-threads=" + std::to_string(cfg.intra_threads);
         if (cfg.ctrl_replicas > 1)
             ac.repro_extra +=
                 " --replicas=" + std::to_string(cfg.ctrl_replicas);
@@ -181,7 +178,6 @@ run_experiment(const ExperimentConfig &cfg)
     }
     opts.faults = cfg.faults; // horizon <= 0 inherits opts.horizon
     opts.telemetry = cfg.telemetry;
-    opts.intra_threads = cfg.intra_threads;
     auto trace = make_trace(cfg);
     auto run = system->run(trace, opts);
 

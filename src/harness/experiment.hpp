@@ -102,12 +102,9 @@ struct ExperimentConfig {
      *  cross-pod offload path fire under moderate load. */
     std::optional<double> offload_highwater;
     std::optional<double> offload_lowwater;
-    /**
-     * Intra-run worker threads (engine::RunOptions::intra_threads).
-     * Only the multi-pod cluster engine uses them; results are
-     * byte-identical at any value, so this is purely a wall-clock
-     * knob — and the determinism harness's sweep axis.
-     */
+    /** Ignored, like engine::RunOptions::intra_threads: kept only
+     *  because the benchmark driver still sets it; the next benchmark
+     *  change deletes it. */
     std::size_t intra_threads = 1;
     /**
      * Scheduler replicas for the replicated control plane. 1 (the
@@ -128,7 +125,7 @@ struct ExperimentResult {
     double per_gpu_rate = 0.0;
     metrics::RunMetrics metrics;
     /** Events fired across every simulator of the run (hub + logical
-     *  processes) — thread-count invariant by the engine's contract. */
+     *  processes). */
     std::uint64_t events_fired = 0;
     // system-internal counters
     std::uint64_t dispatches = 0;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <cstring>
 #include <stdexcept>
 
@@ -54,8 +55,7 @@ result_checksum(const std::vector<workload::Request> &requests)
 
 ExperimentConfig
 make_fuzz_config(std::uint64_t seed, SystemKind system, bool chaos,
-                 std::size_t nodes, std::size_t intra_threads,
-                 std::size_t replicas, bool ctrl_chaos)
+                 std::size_t nodes, std::size_t replicas, bool ctrl_chaos)
 {
     // Independent stream per (seed, system) so the same seed explores
     // different configs on each system.
@@ -161,10 +161,8 @@ make_fuzz_config(std::uint64_t seed, SystemKind system, bool chaos,
         cfg.faults = fc2;
     }
     cfg.num_nodes = nodes == 0 ? 1 : nodes;
-    // Thread count is a pure parameter (no draw): byte-identity across
-    // values is exactly what the determinism harness asserts. Replica
-    // count likewise: the control plane forks its own seed stream.
-    cfg.intra_threads = intra_threads == 0 ? 1 : intra_threads;
+    // Replica count is a pure parameter (no draw): the control plane
+    // forks its own seed stream.
     cfg.ctrl_replicas = replicas == 0 ? 1 : replicas;
     return cfg;
 }
@@ -185,9 +183,6 @@ run_fuzz_case(const ExperimentConfig &cfg)
         ac.repro_extra = " --chaos";
     if (cfg.num_nodes > 1)
         ac.repro_extra += " --nodes=" + std::to_string(cfg.num_nodes);
-    if (cfg.intra_threads > 1)
-        ac.repro_extra +=
-            " --intra-threads=" + std::to_string(cfg.intra_threads);
     // Strictly appended after every historical field.
     if (cfg.ctrl_replicas > 1)
         ac.repro_extra +=
@@ -196,7 +191,6 @@ run_fuzz_case(const ExperimentConfig &cfg)
         ac.repro_extra += " --ctrl-chaos";
     opts.audit = std::move(ac);
     opts.faults = cfg.faults; // horizon <= 0 inherits opts.horizon
-    opts.intra_threads = cfg.intra_threads;
     auto trace = make_trace(cfg);
     auto run = system->run(trace, opts);
     const audit::SimAuditor *aud = system->audit();
@@ -233,8 +227,7 @@ run_fuzz(const FuzzOptions &opt)
         SystemKind system = opt.systems[i % opt.systems.size()];
         sum.results[i] = run_fuzz_case(make_fuzz_config(
             opt.base_seed + static_cast<std::uint64_t>(iter), system,
-            opt.chaos, opt.nodes, opt.intra_threads, opt.replicas,
-            opt.ctrl_chaos));
+            opt.chaos, opt.nodes, opt.replicas, opt.ctrl_chaos));
     });
     for (const auto &r : sum.results) {
         sum.total_events += r.audit_events;
@@ -262,6 +255,26 @@ parse_system_kind(const std::string &name)
     if (k == "windserve-no-dispatch")
         return SystemKind::WindServeNoDispatch;
     throw std::invalid_argument("unknown system: " + name);
+}
+
+std::uint64_t
+parse_count(const std::string &flag, const std::string &text,
+            std::uint64_t min)
+{
+    // from_chars on an unsigned type takes digits only: no sign, no
+    // whitespace, and it reports overflow instead of wrapping.
+    std::uint64_t v = 0;
+    const char *end = text.data() + text.size();
+    auto [ptr, ec] = std::from_chars(text.data(), end, v);
+    if (ec == std::errc::result_out_of_range)
+        throw std::invalid_argument(flag + ": value out of range: " + text);
+    if (ec != std::errc() || ptr != end)
+        throw std::invalid_argument(
+            flag + ": expected a non-negative integer, got '" + text + "'");
+    if (v < min)
+        throw std::invalid_argument(flag + ": must be at least " +
+                                    std::to_string(min) + ", got " + text);
+    return v;
 }
 
 } // namespace windserve::harness

@@ -63,12 +63,6 @@ struct FuzzOptions {
      *  With chaos, N > 1 additionally draws node-crash and NIC-outage
      *  dials (strictly after all single-node draws). */
     std::size_t nodes = 1;
-    /** Intra-run worker threads for multi-pod cases (nodes > 1,
-     *  WindServe). A pure parameter — NO RNG draw is attached to it,
-     *  so every historical `--repro-seed` line replays byte-identically
-     *  and the same case can be replayed at different thread counts to
-     *  diff the parallel engine against the sequential one. */
-    std::size_t intra_threads = 1;
     /** Control replicas per WindServe case (pure parameter, no draw).
      *  1 keeps the historical immortal-coordinator campaign. */
     std::size_t replicas = 1;
@@ -93,8 +87,7 @@ struct FuzzSummary {
  * come after every base draw, so a case's fault-free config is
  * untouched by the flag. @p nodes > 1 runs the case on a multi-node
  * cluster; its extra chaos draws come after every chaos draw, so the
- * node axis never perturbs a single-node case either. @p intra_threads
- * is copied into the config without any draw (see FuzzOptions).
+ * node axis never perturbs a single-node case either.
  * @p replicas (pure parameter, no draw) runs WindServe cases under a
  * replicated control plane; @p ctrl_chaos adds leader-crash /
  * control-partition dials, drawn strictly after every other axis.
@@ -102,7 +95,6 @@ struct FuzzSummary {
 ExperimentConfig make_fuzz_config(std::uint64_t seed, SystemKind system,
                                   bool chaos = false,
                                   std::size_t nodes = 1,
-                                  std::size_t intra_threads = 1,
                                   std::size_t replicas = 1,
                                   bool ctrl_chaos = false);
 
@@ -129,5 +121,11 @@ FuzzSummary run_fuzz(const FuzzOptions &opt);
 /** Parse "windserve"/"distserve"/"vllm" (any case, also the display
  *  names to_string emits). Throws std::invalid_argument otherwise. */
 SystemKind parse_system_kind(const std::string &name);
+
+/** Parse the value @p text of count flag @p flag: decimal digits only,
+ *  no overflow, at least @p min. Throws std::invalid_argument naming
+ *  the flag otherwise. */
+std::uint64_t parse_count(const std::string &flag, const std::string &text,
+                          std::uint64_t min = 0);
 
 } // namespace windserve::harness

@@ -69,9 +69,9 @@ class DecisionJournal
      * time order — one logical process appends monotonically) into
      * this journal, restoring global time order with shard index as
      * the tie-break. Used by partitioned systems at end of replay:
-     * each pod journals on its own thread into a private shard, so
-     * the merged journal is a pure function of (config, workload),
-     * independent of the worker-thread count. Shards are drained.
+     * each pod journals into a private shard, so entries at equal
+     * times come out master first, then by pod index — not in the
+     * order the LP windows happened to run them. Shards are drained.
      */
     void merge_shards(const std::vector<DecisionJournal *> &shards);
 

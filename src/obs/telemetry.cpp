@@ -100,9 +100,8 @@ Telemetry::profile_table(bool include_wall) const
             continue;
         rows.push_back(Row{profiler_.name(id), b.fired, b.wall_ns});
     }
-    // Tie-break by NAME, not id: under intra-run parallelism (lp.hpp)
-    // every LP shares this profiler and intern order — hence id order —
-    // depends on thread scheduling, while per-name counts do not.
+    // Tie-break by NAME, not id: ids follow first-intern order, which
+    // is an accident of which component scheduled first.
     std::sort(rows.begin(), rows.end(), [](const Row &a, const Row &b) {
         if (a.fired != b.fired)
             return a.fired > b.fired;

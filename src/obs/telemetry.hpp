@@ -78,11 +78,9 @@ class Telemetry
 
     /**
      * Attach only the event-pump self-profiler (if configured) to a
-     * logical process's simulator. Partitioned systems (intra-run
-     * parallelism) call this for every LP kernel so events fired on
-     * worker threads are attributed too — the profiler's accounting
-     * is lock-free and order-independent, so totals stay identical at
-     * any thread count. The batch-boundary sampler stays on the hub
+     * logical process's simulator. Partitioned systems (lp.hpp) call
+     * this for every LP kernel so events fired inside LP windows are
+     * attributed too. The batch-boundary sampler stays on the hub
      * simulator arm() was given: metric sampling must see a globally
      * consistent state, which only hub batches guarantee.
      */

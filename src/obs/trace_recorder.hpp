@@ -89,14 +89,13 @@ class TraceRecorder
     /**
      * Move every event recorded in @p shard into this recorder,
      * re-interning process/track names into this recorder's tables
-     * (ids differ across recorders). Used by partitioned systems
-     * (intra-run parallelism): each logical process records into a
-     * private shard on its own thread, and the owner absorbs the
-     * shards in a fixed order at end of replay — so the merged trace
-     * is a pure function of (config, workload), independent of the
-     * worker-thread count. Events are appended in shard order (the
-     * Chrome trace format does not require global ts order); @p shard
-     * is left empty.
+     * (ids differ across recorders). Used by partitioned systems: each
+     * logical process records into a private shard that stamps events
+     * with the LP's own clock (the owner's recorder reads the hub
+     * clock, which lags inside an LP window), and the owner absorbs
+     * the shards in LP order at end of replay. Events are appended in
+     * shard order (the Chrome trace format does not require global ts
+     * order); @p shard is left empty.
      */
     void absorb_shard(TraceRecorder &shard);
 

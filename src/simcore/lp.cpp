@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <stdexcept>
 
 namespace windserve::sim {
 
@@ -11,44 +10,20 @@ namespace {
 constexpr SimTime kInf = std::numeric_limits<SimTime>::infinity();
 } // namespace
 
-LpScheduler::LpScheduler(Simulator &hub, Config cfg) : hub_(hub), cfg_(cfg)
-{
-    if (cfg_.threads == 0)
-        cfg_.threads = 1;
-}
-
-LpScheduler::~LpScheduler()
-{
-    stop_.store(true, std::memory_order_release);
-    for (std::thread &t : workers_)
-        t.join();
-}
-
 std::size_t
 LpScheduler::add_lp(Simulator &sim)
 {
-    if (workers_started_)
-        throw std::logic_error("LpScheduler::add_lp after run started");
-    lps_.push_back(Lp{&sim, {}});
-    errs_.emplace_back();
+    lps_.push_back(Lp{&sim});
     return lps_.size() - 1;
 }
 
 void
-LpScheduler::post(std::size_t src_lp, SimTime when, std::function<void()> fn)
+LpScheduler::post(SimTime when, std::function<void()> fn)
 {
-    if (clock_.hub_phase) {
-        // Coordinator thread, hub quiescent point: preserve hub batch
-        // insertion order by scheduling directly.
-        ++messages_;
-        hub_.schedule_at(when, std::move(fn));
-        return;
-    }
-    Lp &lp = lps_.at(src_lp);
-    if (lp.outbox.size() >= cfg_.channel_capacity)
-        throw std::length_error(
-            "LpScheduler: bounded channel overflow (LP outbox)");
-    lp.outbox.push_back(Msg{when, std::move(fn)});
+    // Inside a window the hub clock stands still and due LPs run in
+    // index order, so insertion order here is (LP index, post order).
+    ++messages_;
+    hub_.schedule_at(when, std::move(fn));
 }
 
 double
@@ -83,7 +58,6 @@ LpScheduler::compute_window(SimTime t0, double eff_window, SimTime hub_next,
 SimTime
 LpScheduler::run_until(SimTime horizon)
 {
-    start_workers();
     attach();
     struct Detach {
         LpScheduler &s;
@@ -127,16 +101,14 @@ LpScheduler::run_until(SimTime horizon)
         }
         std::sort(due_.begin(), due_.end());
         lp_runs_ += due_.size();
-        run_window_parallel(w);
-        rethrow_first_error();
-        drain_outboxes();
-        for (std::size_t i : due_)
+        for (std::size_t i : due_) {
+            lps_[i].sim->run_window(w.excl, w.incl);
             rekey(i);
+        }
     }
     // Settle every clock on the global last-event time so end-of-run
     // statistics (utilization denominators, trailing telemetry ticks)
-    // are identical at any thread count — and equal to what one shared
-    // sequential queue would have reported.
+    // equal what one shared queue would have reported.
     SimTime g = hub_.now();
     for (const Lp &lp : lps_)
         g = std::max(g, lp.sim->now());
@@ -270,102 +242,6 @@ LpScheduler::validate_top()
         if (top.sim->pending() != 0 && top.sim->next_time() == top.key)
             return;
         rekey(heap_[0]);
-    }
-}
-
-void
-LpScheduler::start_workers()
-{
-    if (workers_started_)
-        return;
-    workers_started_ = true;
-    const std::size_t spawn =
-        std::min(cfg_.threads, lps_.size() > 0 ? lps_.size() : std::size_t{1})
-        - 1;
-    workers_.reserve(spawn);
-    for (std::size_t i = 0; i < spawn; ++i)
-        workers_.emplace_back([this] { worker_main(); });
-}
-
-void
-LpScheduler::run_window_parallel(Window w)
-{
-    cur_ = w;
-    next_lp_.store(0, std::memory_order_relaxed);
-    if (workers_.empty() || due_.size() == 1) {
-        claim_and_run();
-        return;
-    }
-    remaining_.store(workers_.size(), std::memory_order_relaxed);
-    epoch_.fetch_add(1, std::memory_order_release);
-    claim_and_run(); // the coordinator is a worker too
-    while (remaining_.load(std::memory_order_acquire) != 0)
-        std::this_thread::yield();
-}
-
-void
-LpScheduler::worker_main()
-{
-    std::uint64_t seen = 0;
-    for (;;) {
-        std::uint64_t e;
-        while ((e = epoch_.load(std::memory_order_acquire)) == seen) {
-            if (stop_.load(std::memory_order_acquire))
-                return;
-            std::this_thread::yield();
-        }
-        seen = e;
-        claim_and_run();
-        remaining_.fetch_sub(1, std::memory_order_release);
-    }
-}
-
-void
-LpScheduler::claim_and_run()
-{
-    for (;;) {
-        const std::size_t slot =
-            next_lp_.fetch_add(1, std::memory_order_relaxed);
-        if (slot >= due_.size())
-            break;
-        const std::size_t i = due_[slot];
-        try {
-            lps_[i].sim->run_window(cur_.excl, cur_.incl);
-        } catch (...) {
-            // Fail fast but let the barrier complete; the coordinator
-            // rethrows the lowest-index error deterministically.
-            errs_[i] = std::current_exception();
-        }
-    }
-}
-
-void
-LpScheduler::rethrow_first_error()
-{
-    // Only LPs that ran can have failed; due_ is in index order.
-    for (std::size_t i : due_) {
-        if (errs_[i]) {
-            std::exception_ptr e = errs_[i];
-            for (std::size_t j : due_)
-                errs_[j] = nullptr;
-            std::rethrow_exception(e);
-        }
-    }
-}
-
-void
-LpScheduler::drain_outboxes()
-{
-    // (LP index, post order) concatenation: the hub heap's insertion-seq
-    // tie-break turns this into the total (time, LP, seq) event order.
-    // Only LPs that ran can have posted.
-    for (std::size_t i : due_) {
-        Lp &lp = lps_[i];
-        for (Msg &m : lp.outbox) {
-            ++messages_;
-            hub_.schedule_at(m.when, std::move(m.fn));
-        }
-        lp.outbox.clear();
     }
 }
 

@@ -17,22 +17,15 @@
  * and are inherently non-deterministic; event counts and shares are a
  * pure function of the simulation. Exporters that need byte-identical
  * output across runs must use the count columns only, keyed by source
- * NAME (see obs::Telemetry::profile_table) — under intra-run
- * parallelism (lp.hpp) one profiler is shared by every LP's simulator,
- * so source IDS depend on which thread interns a name first while the
- * per-name counts stay exact.
+ * NAME (see obs::Telemetry::profile_table). One profiler is shared by
+ * the hub and every LP simulator of a multi-pod run (lp.hpp).
  *
- * Thread safety: account() is lock-free (per-bucket atomics, relaxed —
- * totals are only read after the worker pool quiesces), intern() takes
- * a mutex on the miss path only. Buckets live in a fixed-capacity
- * array so account() never races a reallocation; interning past the
- * capacity falls back to the untagged bucket (id 0).
+ * Ids are capped at kMaxSources; interning past the cap falls back to
+ * the untagged bucket (id 0).
  */
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <mutex>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -49,11 +42,11 @@ class PumpProfiler
         std::uint64_t wall_ns = 0; ///< host wall-clock spent in them
     };
 
-    /** Fixed bucket capacity (ids 0..kMaxSources-1); real runs use a
-     *  few dozen sources, the headroom is for pod-suffixed tags. */
+    /** Source cap (ids 0..kMaxSources-1); real runs use a few dozen
+     *  sources, the headroom is for pod-suffixed tags. */
     static constexpr std::size_t kMaxSources = 1024;
 
-    PumpProfiler() : names_{"(untagged)"}, buckets_(kMaxSources)
+    PumpProfiler() : names_{"(untagged)"}, buckets_(1)
     {
         by_name_.emplace(names_[0], 0);
     }
@@ -63,13 +56,11 @@ class PumpProfiler
     /**
      * Source id for @p name, minting one on first use. Id 0 is reserved
      * for "(untagged)" — events fired with no scope and no inherited
-     * tag. Ids are dense in first-intern order; when several LP threads
-     * intern concurrently that order is nondeterministic, so consumers
-     * must key rows by name, never by id.
+     * tag. Ids are dense in first-intern order; consumers key rows by
+     * name, never by id.
      */
     std::uint16_t intern(const std::string &name)
     {
-        std::lock_guard<std::mutex> lock(mu_);
         auto it = by_name_.find(name);
         if (it != by_name_.end())
             return it->second;
@@ -77,6 +68,7 @@ class PumpProfiler
             return 0; // capacity exhausted: charge to (untagged)
         auto id = static_cast<std::uint16_t>(names_.size());
         names_.push_back(name);
+        buckets_.emplace_back();
         by_name_.emplace(name, id);
         return id;
     }
@@ -84,43 +76,28 @@ class PumpProfiler
     /** Charge one fired event of @p ns wall-clock to source @p src. */
     void account(std::uint16_t src, std::uint64_t ns)
     {
-        Cell &c = buckets_[src];
-        c.fired.fetch_add(1, std::memory_order_relaxed);
-        c.wall_ns.fetch_add(ns, std::memory_order_relaxed);
+        Bucket &b = buckets_[src];
+        ++b.fired;
+        b.wall_ns += ns;
     }
 
-    std::size_t num_sources() const
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        return names_.size();
-    }
-    std::string name(std::uint16_t src) const
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        return names_[src];
-    }
-    Bucket bucket(std::uint16_t src) const
-    {
-        const Cell &c = buckets_[src];
-        return Bucket{c.fired.load(std::memory_order_relaxed),
-                      c.wall_ns.load(std::memory_order_relaxed)};
-    }
+    std::size_t num_sources() const { return names_.size(); }
+    std::string name(std::uint16_t src) const { return names_[src]; }
+    Bucket bucket(std::uint16_t src) const { return buckets_[src]; }
 
     /** Total events charged (all sources, untagged included). */
     std::uint64_t total_fired() const
     {
         std::uint64_t n = 0;
-        const std::size_t used = num_sources();
-        for (std::size_t i = 0; i < used; ++i)
-            n += buckets_[i].fired.load(std::memory_order_relaxed);
+        for (const Bucket &b : buckets_)
+            n += b.fired;
         return n;
     }
 
     /** Events charged to a named (non-untagged) source. */
     std::uint64_t named_fired() const
     {
-        return total_fired() -
-               buckets_[0].fired.load(std::memory_order_relaxed);
+        return total_fired() - buckets_[0].fired;
     }
 
     /** Fraction of charged events with a named source (1.0 when no
@@ -135,15 +112,8 @@ class PumpProfiler
     }
 
   private:
-    /** Atomic accumulators; fixed array slot, never reallocated. */
-    struct Cell {
-        std::atomic<std::uint64_t> fired{0};
-        std::atomic<std::uint64_t> wall_ns{0};
-    };
-
-    mutable std::mutex mu_;          ///< guards names_ / by_name_
     std::vector<std::string> names_; ///< id -> name; [0] = "(untagged)"
-    std::vector<Cell> buckets_;      ///< fixed kMaxSources cells
+    std::vector<Bucket> buckets_;    ///< id -> accumulators
     std::unordered_map<std::string, std::uint16_t> by_name_;
 };
 

@@ -3,8 +3,6 @@
 # `scale`). Unlike perf_smoke there is no tolerance gate yet: the
 # committed BENCH_scale.json is the first recorded baseline, so this
 # check pins the schema and the deterministic fields' sanity only.
-# (The intra-thread identity/speedup fields get their own gate in
-# pdes_smoke.cmake, which runs the bench at --intra-threads=8.)
 execute_process(COMMAND ${BENCH} --json=${OUT} --requests=40
                 RESULT_VARIABLE rc OUTPUT_QUIET ERROR_QUIET)
 if(NOT rc EQUAL 0)
@@ -16,7 +14,7 @@ import json, sys
 with open(sys.argv[1]) as f:
     doc = json.load(f)
 assert doc['bench'] == 'scale', doc
-assert doc['schema_version'] == 3, doc
+assert doc['schema_version'] == 4, doc
 assert doc['build'] in ('optimized', 'debug'), doc
 assert doc['hw_threads'] >= 1, doc
 sweep = doc['sweep']
@@ -29,8 +27,7 @@ for w in sweep:
                   'unfinished', 'mean_ttft_s', 'p99_ttft_s', 'mean_tpot_s',
                   'slo_attainment', 'makespan_s', 'dispatches',
                   'cross_offloads', 'cross_redispatches', 'audit_events',
-                  'checksum', 'intra_threads', 'wall_1t_s',
-                  'intra_speedup', 'spine_oversub', 'threads_identical'):
+                  'checksum', 'spine_oversub'):
         assert field in w, (w['gpus'], field)
     assert w['gpus'] == w['pods'] * 4, w
     assert w['pods'] == w['num_nodes'] * w['pods_per_node'], w
@@ -38,7 +35,6 @@ for w in sweep:
     assert w['finished'] + w['unfinished'] == w['requests'], w
     assert w['finished'] > 0 and w['dispatches'] >= 0, w
     assert 0.0 <= w['slo_attainment'] <= 1.0, w
-    assert w['threads_identical'] is True, w
     # ROADMAP item-1 remnant, fixed: the headline watermarks must make
     # the cross-pod offload path fire at the 64- and 512-GPU cells
     # (2-pod cells fluctuate too coherently to diverge, so gpus=8 may

@@ -9,8 +9,7 @@
  * across leader crashes and partitions, deterministic protocol), the
  * fault-plan stream independence of the new chaos classes, the cluster
  * integration (replicated scheduling under full chaos and fail-fast
- * audit, thread-count byte-identity, the 1-replica structural
- * identity), the fuzz axes, and a golden snapshot of a fixed-seed
+ * audit, the 1-replica structural identity), the fuzz axes, and a golden snapshot of a fixed-seed
  * 3-replica chaos run (regenerate with WS_UPDATE_GOLDEN=1).
  */
 #include <gtest/gtest.h>
@@ -539,28 +538,6 @@ TEST(ClusterCtrl, ChaosRunUnderFullAuditWithFailovers)
     EXPECT_LE(m.num_aborted, m.num_unfinished);
 }
 
-TEST(ClusterCtrl, ByteIdenticalAcrossIntraThreads)
-{
-    // The determinism contract: the control plane lives on the hub
-    // simulator, so the chaos run above is byte-identical at any
-    // worker count.
-    hs::ExperimentConfig a = replicated_cluster_config();
-    a.intra_threads = 1;
-    hs::ExperimentConfig b = replicated_cluster_config();
-    b.intra_threads = 8;
-    auto ra = hs::run_experiment(a);
-    auto rb = hs::run_experiment(b);
-    EXPECT_EQ(ra.events_fired, rb.events_fired);
-    EXPECT_EQ(ra.metrics.num_finished, rb.metrics.num_finished);
-    EXPECT_EQ(ra.metrics.failovers, rb.metrics.failovers);
-    EXPECT_EQ(ra.metrics.ctrl_commits, rb.metrics.ctrl_commits);
-    EXPECT_EQ(ra.metrics.ttft.mean(), rb.metrics.ttft.mean());
-    EXPECT_EQ(ra.metrics.goodput_tokens_per_s,
-              rb.metrics.goodput_tokens_per_s);
-    EXPECT_EQ(ra.metrics.failover_latency.mean(),
-              rb.metrics.failover_latency.mean());
-}
-
 TEST(ClusterCtrl, DirectoryTracksPodBackupsCoherently)
 {
     // Drive the replicated cluster directly and check the directory
@@ -612,9 +589,9 @@ TEST(CtrlFuzz, NewAxesNeverPerturbHistoricalConfigs)
     // draw: the base config and the instance-crash dials are untouched.
     for (std::uint64_t seed : {101ull, 202ull, 303ull}) {
         auto old_cfg = hs::make_fuzz_config(seed, hs::SystemKind::WindServe,
-                                            true, 2, 1);
+                                            true, 2);
         auto new_cfg = hs::make_fuzz_config(seed, hs::SystemKind::WindServe,
-                                            true, 2, 1, 1, false);
+                                            true, 2, 1, false);
         EXPECT_EQ(old_cfg.num_requests, new_cfg.num_requests);
         EXPECT_EQ(old_cfg.per_gpu_rate, new_cfg.per_gpu_rate);
         EXPECT_EQ(old_cfg.kv_capacity_tokens_override,
@@ -627,7 +604,7 @@ TEST(CtrlFuzz, NewAxesNeverPerturbHistoricalConfigs)
         EXPECT_EQ(old_cfg.faults->leader_mtbf, 0.0);
 
         auto chaos_cfg = hs::make_fuzz_config(seed, hs::SystemKind::WindServe,
-                                              true, 2, 1, 3, true);
+                                              true, 2, 3, true);
         EXPECT_EQ(chaos_cfg.ctrl_replicas, 3u);
         ASSERT_TRUE(chaos_cfg.faults);
         EXPECT_EQ(chaos_cfg.faults->crash_mtbf, old_cfg.faults->crash_mtbf);

@@ -201,3 +201,28 @@ TEST(FuzzAudit, ParseSystemKindRoundTrips)
     EXPECT_EQ(hs::parse_system_kind("vllm"), K::Vllm);
     EXPECT_THROW(hs::parse_system_kind("sglang"), std::invalid_argument);
 }
+
+TEST(FuzzAudit, ParseCountAcceptsPlainDecimal)
+{
+    EXPECT_EQ(hs::parse_count("--iters", "0"), 0u);
+    EXPECT_EQ(hs::parse_count("--nodes", "8", 1), 8u);
+    EXPECT_EQ(hs::parse_count("--seed", "18446744073709551615"),
+              18446744073709551615ull);
+}
+
+TEST(FuzzAudit, ParseCountRejectsSignsGarbageOverflowAndSmallValues)
+{
+    for (const char *bad : {"-1", "+3", "", " 4", "4 ", "12x", "0x10", "1.5",
+                            "18446744073709551616"})
+        EXPECT_THROW(hs::parse_count("--nodes", bad), std::invalid_argument)
+            << "'" << bad << "'";
+    EXPECT_THROW(hs::parse_count("--jobs", "0", 1), std::invalid_argument);
+    try {
+        hs::parse_count("--requests", "-5", 1);
+        FAIL() << "expected std::invalid_argument";
+    } catch (const std::invalid_argument &e) {
+        EXPECT_NE(std::string(e.what()).find("--requests"),
+                  std::string::npos)
+            << e.what();
+    }
+}

@@ -4,12 +4,11 @@
  * + core::cluster_lookahead_floor): lookahead-floor derivation from
  * topology latencies, window-bound computation, the LP clock-advance
  * bound, cross-LP (time, seq) tie-break determinism, the zero-lookahead
- * fallback to lockstep sequential pumping, the activity-driven engine
- * (idle LPs never run, LP heap keys stay exact under hub-phase
- * schedules and cancels, idle clocks read t0, a throwing run leaves no
- * LP attached to a dead scheduler), a chaos campaign that kills
- * pods mid-offload under the parallel engine and replays the same seed
- * sequentially, and a 2-node golden snapshot run at threads=4.
+ * fallback to lockstep pumping, the activity-driven engine (idle LPs
+ * never run, LP heap keys stay exact under hub-phase schedules and
+ * cancels, idle clocks read t0, a throwing run leaves no LP attached to
+ * a dead scheduler), a chaos campaign that kills pods mid-offload, and
+ * a 2-node golden snapshot.
  */
 #include <gtest/gtest.h>
 
@@ -162,11 +161,8 @@ TEST(LpSync, HubPhaseSeesParkedLpClocks)
     Simulator hub;
     Simulator lp0, lp1;
     LpScheduler::Config cfg;
-    // A 1s quantum puts every event below into its own window, so the
-    // shared `order` log is only ever appended between barriers (LPs
-    // share no state INSIDE a window; the test must respect that too).
+    // A 1s quantum puts every event below into its own window.
     cfg.lookahead = 1.0;
-    cfg.threads = 2;
     LpScheduler sched(hub, cfg);
     sched.add_lp(lp0);
     sched.add_lp(lp1);
@@ -201,108 +197,84 @@ TEST(LpSync, HubPhaseSeesParkedLpClocks)
 
 // Messages posted at the SAME timestamp from different LPs are
 // delivered in (LP index, post order) — the heap's insertion-seq
-// tie-break makes that a total order, independent of thread count.
+// tie-break makes that a total order.
 TEST(LpSync, SameTimeMessagesDeliverInLpIndexThenPostOrder)
 {
-    for (std::size_t threads : {1u, 2u, 8u}) {
-        Simulator hub;
-        Simulator lp0, lp1, lp2;
-        LpScheduler::Config cfg;
-        cfg.lookahead = 1.0;
-        cfg.threads = threads;
-        LpScheduler sched(hub, cfg);
-        sched.add_lp(lp0);
-        sched.add_lp(lp1);
-        sched.add_lp(lp2);
-
-        std::vector<std::string> order;
-        auto sender = [&](Simulator &sim, std::size_t idx) {
-            sim.schedule_at(0.25, [&, idx] {
-                // Two messages per LP, all for the identical instant.
-                sched.post(idx, 2.0, [&order, idx] {
-                    order.push_back("lp" + std::to_string(idx) + ".a");
-                });
-                sched.post(idx, 2.0, [&order, idx] {
-                    order.push_back("lp" + std::to_string(idx) + ".b");
-                });
-            });
-        };
-        // Register senders in reverse so delivery order provably comes
-        // from the LP INDEX, not scheduling happenstance.
-        sender(lp2, 2);
-        sender(lp1, 1);
-        sender(lp0, 0);
-
-        sched.run_until(10.0);
-        ASSERT_EQ(order.size(), 6u) << "threads=" << threads;
-        EXPECT_EQ(order[0], "lp0.a");
-        EXPECT_EQ(order[1], "lp0.b");
-        EXPECT_EQ(order[2], "lp1.a");
-        EXPECT_EQ(order[3], "lp1.b");
-        EXPECT_EQ(order[4], "lp2.a");
-        EXPECT_EQ(order[5], "lp2.b");
-        EXPECT_EQ(sched.messages_posted(), 6u);
-    }
-}
-
-// Zero lookahead + zero window quantum = lockstep sequential pumping:
-// every window fires exactly one timestamp, so the global firing order
-// is the merged time order, at any thread count.
-TEST(LpSync, ZeroLookaheadFallsBackToSequentialPumping)
-{
-    for (std::size_t threads : {1u, 4u}) {
-        Simulator hub;
-        Simulator lp0, lp1;
-        LpScheduler::Config cfg;
-        cfg.lookahead = 0.0;
-        cfg.window = 0.0;
-        cfg.threads = threads;
-        LpScheduler sched(hub, cfg);
-        sched.add_lp(lp0);
-        sched.add_lp(lp1);
-
-        std::vector<double> fired;
-        for (double t : {0.1, 0.3, 0.5})
-            lp0.schedule_at(t, [&fired, t] { fired.push_back(t); });
-        for (double t : {0.2, 0.4})
-            lp1.schedule_at(t, [&fired, t] { fired.push_back(t); });
-
-        sched.run_until(1.0);
-        ASSERT_EQ(fired.size(), 5u) << "threads=" << threads;
-        EXPECT_EQ(fired, (std::vector<double>{0.1, 0.2, 0.3, 0.4, 0.5}));
-        // One lockstep window per distinct timestamp, no hub phases
-        // (the hub never holds the minimum here).
-        EXPECT_EQ(sched.windows(), 5u);
-        EXPECT_EQ(sched.effective_window(), 0.0);
-    }
-}
-
-TEST(LpSync, BoundedChannelOverflowFailsFast)
-{
     Simulator hub;
-    Simulator lp0;
+    Simulator lp0, lp1, lp2;
     LpScheduler::Config cfg;
     cfg.lookahead = 1.0;
-    cfg.channel_capacity = 4;
     LpScheduler sched(hub, cfg);
     sched.add_lp(lp0);
-    lp0.schedule_at(0.1, [&] {
-        for (int i = 0; i < 8; ++i)
-            sched.post(0, 1.0, [] {});
-    });
-    EXPECT_THROW(sched.run_until(10.0), std::length_error);
+    sched.add_lp(lp1);
+    sched.add_lp(lp2);
+
+    std::vector<std::string> order;
+    auto sender = [&](Simulator &sim, std::size_t idx) {
+        sim.schedule_at(0.25, [&, idx] {
+            // Two messages per LP, all for the identical instant.
+            sched.post(2.0, [&order, idx] {
+                order.push_back("lp" + std::to_string(idx) + ".a");
+            });
+            sched.post(2.0, [&order, idx] {
+                order.push_back("lp" + std::to_string(idx) + ".b");
+            });
+        });
+    };
+    // Register senders in reverse so delivery order provably comes
+    // from the LP INDEX, not scheduling happenstance.
+    sender(lp2, 2);
+    sender(lp1, 1);
+    sender(lp0, 0);
+
+    sched.run_until(10.0);
+    ASSERT_EQ(order.size(), 6u);
+    EXPECT_EQ(order[0], "lp0.a");
+    EXPECT_EQ(order[1], "lp0.b");
+    EXPECT_EQ(order[2], "lp1.a");
+    EXPECT_EQ(order[3], "lp1.b");
+    EXPECT_EQ(order[4], "lp2.a");
+    EXPECT_EQ(order[5], "lp2.b");
+    EXPECT_EQ(sched.messages_posted(), 6u);
+}
+
+// Zero lookahead + zero window quantum = lockstep pumping: every
+// window fires exactly one timestamp, so the global firing order is the
+// merged time order.
+TEST(LpSync, ZeroLookaheadFallsBackToSequentialPumping)
+{
+    Simulator hub;
+    Simulator lp0, lp1;
+    LpScheduler::Config cfg;
+    cfg.lookahead = 0.0;
+    cfg.window = 0.0;
+    LpScheduler sched(hub, cfg);
+    sched.add_lp(lp0);
+    sched.add_lp(lp1);
+
+    std::vector<double> fired;
+    for (double t : {0.1, 0.3, 0.5})
+        lp0.schedule_at(t, [&fired, t] { fired.push_back(t); });
+    for (double t : {0.2, 0.4})
+        lp1.schedule_at(t, [&fired, t] { fired.push_back(t); });
+
+    sched.run_until(1.0);
+    EXPECT_EQ(fired, (std::vector<double>{0.1, 0.2, 0.3, 0.4, 0.5}));
+    // One lockstep window per distinct timestamp, no hub phases (the
+    // hub never holds the minimum here).
+    EXPECT_EQ(sched.windows(), 5u);
+    EXPECT_EQ(sched.effective_window(), 0.0);
 }
 
 // ---------------------------------------------------------------------
 // Activity-driven engine: only LPs with events due run; the LP heap's
 // keys stay exact under hub-phase schedules and cancels; idle LP clocks
-// read the hub phase's t0. Every scenario runs at threads = 1 and 4 and
-// the two runs must agree.
+// read the hub phase's t0.
 // ---------------------------------------------------------------------
 
 namespace {
 
-/** What a scenario observed; compared across thread counts. */
+/** What a scenario observed. */
 struct LpTrace {
     std::vector<std::vector<SimTime>> fired; ///< per LP, event times
     std::vector<SimTime> hub_seen;           ///< values read by hub events
@@ -320,18 +292,17 @@ struct LpTrace {
 };
 
 /** Hub + @p n LPs under one scheduler; each LP event appends its time
- *  to the LP's own log (LPs share nothing inside a window). */
+ *  to the LP's own log. */
 struct LpRig {
     Simulator hub;
     std::vector<std::unique_ptr<Simulator>> lps;
     LpScheduler sched;
     LpTrace trace;
 
-    LpRig(std::size_t n, double lookahead, std::size_t threads)
+    LpRig(std::size_t n, double lookahead)
         : sched(hub, [&] {
               LpScheduler::Config c;
               c.lookahead = lookahead;
-              c.threads = threads;
               return c;
           }())
     {
@@ -359,29 +330,16 @@ struct LpRig {
     }
 };
 
-/** Run @p scenario at threads 1 and 4; they must agree exactly. */
-template <class Scenario>
-LpTrace
-at_both_thread_counts(Scenario scenario)
-{
-    LpTrace seq = scenario(std::size_t{1});
-    LpTrace par = scenario(std::size_t{4});
-    EXPECT_TRUE(seq == par) << "threads=1 and threads=4 disagree";
-    return seq;
-}
-
 } // namespace
 
 TEST(LpActivity, IdleLpsAreNeverRun)
 {
-    LpTrace t = at_both_thread_counts([](std::size_t threads) {
-        LpRig rig(64, 0.01, threads);
-        for (SimTime when : {0.1, 0.2, 0.3, 0.5})
-            rig.at(5, when);
-        for (SimTime when : {0.15, 0.35, 0.505})
-            rig.at(40, when);
-        return rig.run(10.0);
-    });
+    LpRig rig(64, 0.01);
+    for (SimTime when : {0.1, 0.2, 0.3, 0.5})
+        rig.at(5, when);
+    for (SimTime when : {0.15, 0.35, 0.505})
+        rig.at(40, when);
+    LpTrace t = rig.run(10.0);
     // One window per isolated event, plus one at 0.5 that runs both
     // LPs (0.505 lies inside [0.5, 0.51)). The other 62 never run.
     EXPECT_EQ(t.windows, 6u);
@@ -393,20 +351,18 @@ TEST(LpActivity, IdleLpsAreNeverRun)
 
 TEST(LpActivity, HubScheduleEarlierThanHeadWakesIdleLp)
 {
-    LpTrace t = at_both_thread_counts([](std::size_t threads) {
-        LpRig rig(3, 0.01, threads);
-        rig.at(1, 5.0); // LP 1's head, keyed at 5.0
-        rig.at(0, 2.0);
-        rig.hub.schedule_at(1.0, [&rig] {
-            // Decrease-key: LP 1's next event moves from 5.0 to 1.5.
-            rig.lps[1]->schedule(0.5, [&rig] { rig.log(1); });
-        });
-        rig.hub.schedule_at(1.7, [&rig] {
-            rig.trace.hub_seen.push_back(
-                static_cast<double>(rig.trace.fired[1].size()));
-        });
-        return rig.run(10.0);
+    LpRig rig(3, 0.01);
+    rig.at(1, 5.0); // LP 1's head, keyed at 5.0
+    rig.at(0, 2.0);
+    rig.hub.schedule_at(1.0, [&rig] {
+        // Decrease-key: LP 1's next event moves from 5.0 to 1.5.
+        rig.lps[1]->schedule(0.5, [&rig] { rig.log(1); });
     });
+    rig.hub.schedule_at(1.7, [&rig] {
+        rig.trace.hub_seen.push_back(
+            static_cast<double>(rig.trace.fired[1].size()));
+    });
+    LpTrace t = rig.run(10.0);
     EXPECT_EQ(t.fired[1], (std::vector<SimTime>{1.5, 5.0}));
     // The hub event at 1.7 runs after LP 1's 1.5 event, not before.
     EXPECT_EQ(t.hub_seen, (std::vector<SimTime>{1.0}));
@@ -417,23 +373,20 @@ TEST(LpActivity, HubScheduleEarlierThanHeadWakesIdleLp)
 TEST(LpActivity, HubCancelOfLpHeadNeitherStallsNorShiftsWindows)
 {
     auto scenario = [](bool with_cancelled) {
-        return [with_cancelled](std::size_t threads) {
-            LpRig rig(2, 1.0, threads);
-            if (with_cancelled) {
-                windserve::sim::EventHandle h = rig.at(1, 2.0);
-                rig.hub.schedule_at(1.0,
-                                    [&rig, h] { rig.lps[1]->cancel(h); });
-            } else {
-                rig.hub.schedule_at(1.0, [] {});
-            }
-            rig.at(1, 6.0);
-            rig.at(0, 3.0);
-            rig.at(0, 4.5);
-            return rig.run(100.0);
-        };
+        LpRig rig(2, 1.0);
+        if (with_cancelled) {
+            windserve::sim::EventHandle h = rig.at(1, 2.0);
+            rig.hub.schedule_at(1.0, [&rig, h] { rig.lps[1]->cancel(h); });
+        } else {
+            rig.hub.schedule_at(1.0, [] {});
+        }
+        rig.at(1, 6.0);
+        rig.at(0, 3.0);
+        rig.at(0, 4.5);
+        return rig.run(100.0);
     };
-    LpTrace cancelled = at_both_thread_counts(scenario(true));
-    LpTrace control = at_both_thread_counts(scenario(false));
+    LpTrace cancelled = scenario(true);
+    LpTrace control = scenario(false);
     // The stale 2.0 key must not open a window at 2.0 ([2, 3) would
     // also push LP 0's 3.0 event into a later window).
     EXPECT_TRUE(cancelled == control);
@@ -444,22 +397,20 @@ TEST(LpActivity, HubCancelOfLpHeadNeitherStallsNorShiftsWindows)
 
 TEST(LpActivity, LongIdleLpReadsT0InLaterHubPhase)
 {
-    LpTrace t = at_both_thread_counts([](std::size_t threads) {
-        LpRig rig(2, 0.01, threads);
-        for (int i = 1; i <= 9; ++i)
-            rig.at(0, 0.1 * i);
-        rig.hub.schedule_at(0.95, [&rig] {
-            // LP 1 has been idle through nine windows and a hub phase.
-            rig.trace.hub_seen.push_back(rig.lps[1]->now());
-            rig.trace.hub_seen.push_back(rig.lps[0]->now());
-            // schedule() on the idle LP is relative to the hub's t0.
-            rig.lps[1]->schedule(0.01, [&rig] { rig.log(1); });
-        });
-        rig.hub.schedule_at(0.5, [&rig] {
-            rig.trace.hub_seen.push_back(rig.lps[1]->now());
-        });
-        return rig.run(10.0);
+    LpRig rig(2, 0.01);
+    for (int i = 1; i <= 9; ++i)
+        rig.at(0, 0.1 * i);
+    rig.hub.schedule_at(0.95, [&rig] {
+        // LP 1 has been idle through nine windows and a hub phase.
+        rig.trace.hub_seen.push_back(rig.lps[1]->now());
+        rig.trace.hub_seen.push_back(rig.lps[0]->now());
+        // schedule() on the idle LP is relative to the hub's t0.
+        rig.lps[1]->schedule(0.01, [&rig] { rig.log(1); });
     });
+    rig.hub.schedule_at(0.5, [&rig] {
+        rig.trace.hub_seen.push_back(rig.lps[1]->now());
+    });
+    LpTrace t = rig.run(10.0);
     EXPECT_EQ(t.hub_seen, (std::vector<SimTime>{0.5, 0.95, 0.95}));
     EXPECT_EQ(t.fired[1], (std::vector<SimTime>{0.96}));
     // LP 1 ran exactly once; LP 0 once per event.
@@ -469,54 +420,47 @@ TEST(LpActivity, LongIdleLpReadsT0InLaterHubPhase)
 TEST(LpActivity, ThrowingRunLeavesNoDanglingLpClock)
 {
     for (bool from_hub : {false, true}) {
-        std::vector<std::vector<SimTime>> clocks;
-        for (std::size_t threads : {1u, 4u}) {
-            auto hub = std::make_unique<Simulator>();
-            std::vector<std::unique_ptr<Simulator>> lps;
-            for (int i = 0; i < 4; ++i)
-                lps.push_back(std::make_unique<Simulator>());
-            {
-                LpScheduler::Config cfg;
-                cfg.lookahead = 0.01;
-                cfg.threads = threads;
-                LpScheduler sched(*hub, cfg);
-                for (auto &lp : lps)
-                    sched.add_lp(*lp);
-                lps[0]->schedule_at(0.2, [] {});
-                hub->schedule_at(0.3, [] {}); // raises the clock floor
-                lps[2]->schedule_at(9.0, [] {});
-                auto boom = [] { throw std::runtime_error("boom"); };
-                if (from_hub)
-                    hub->schedule_at(0.5, boom);
-                else
-                    lps[3]->schedule_at(0.5, boom);
-                EXPECT_THROW(sched.run_until(10.0), std::runtime_error)
-                    << "from_hub=" << from_hub << " threads=" << threads;
-                EXPECT_FALSE(sched.in_hub_phase());
-            }
-            // The scheduler is gone; its LPs keep working standalone.
-            std::vector<SimTime> seen;
-            for (auto &lp : lps) {
-                seen.push_back(lp->now());
-                bool ran = false;
-                lp->schedule(0.25, [&ran] { ran = true; });
-                lp->run_until(8.0);
-                EXPECT_TRUE(ran);
-            }
-            clocks.push_back(seen);
+        auto hub = std::make_unique<Simulator>();
+        std::vector<std::unique_ptr<Simulator>> lps;
+        for (int i = 0; i < 4; ++i)
+            lps.push_back(std::make_unique<Simulator>());
+        {
+            LpScheduler::Config cfg;
+            cfg.lookahead = 0.01;
+            LpScheduler sched(*hub, cfg);
+            for (auto &lp : lps)
+                sched.add_lp(*lp);
+            lps[0]->schedule_at(0.2, [] {});
+            hub->schedule_at(0.3, [] {}); // raises the clock floor
+            lps[2]->schedule_at(9.0, [] {});
+            auto boom = [] { throw std::runtime_error("boom"); };
+            if (from_hub)
+                hub->schedule_at(0.5, boom);
+            else
+                lps[3]->schedule_at(0.5, boom);
+            EXPECT_THROW(sched.run_until(10.0), std::runtime_error)
+                << "from_hub=" << from_hub;
+            EXPECT_FALSE(sched.in_hub_phase());
         }
-        EXPECT_EQ(clocks[0], clocks[1]) << "from_hub=" << from_hub;
+        // The scheduler is gone; its LPs keep working standalone.
+        std::vector<SimTime> seen;
+        for (auto &lp : lps) {
+            seen.push_back(lp->now());
+            bool ran = false;
+            lp->schedule(0.25, [&ran] { ran = true; });
+            lp->run_until(8.0);
+            EXPECT_TRUE(ran);
+        }
         // The floor (0.5 for a hub throw, else 0.3) is baked in.
         const SimTime floor = from_hub ? 0.5 : 0.3;
-        EXPECT_DOUBLE_EQ(clocks[0][1], floor);
-        EXPECT_DOUBLE_EQ(clocks[0][2], floor);
+        EXPECT_DOUBLE_EQ(seen[1], floor) << "from_hub=" << from_hub;
+        EXPECT_DOUBLE_EQ(seen[2], floor) << "from_hub=" << from_hub;
     }
 }
 
 // ---------------------------------------------------------------------
-// Chaos campaign: pods killed mid-offload under the parallel engine,
-// replayed sequentially from the exact same seed (satellite of the
-// fuzz --intra-threads axis).
+// Chaos campaign: pods killed mid-offload, under full audit, with the
+// fuzz summary checked against a replay that keeps the system.
 // ---------------------------------------------------------------------
 
 TEST(LpChaos, MidOffloadCrashCampaignMatchesSequentialReplay)
@@ -524,8 +468,7 @@ TEST(LpChaos, MidOffloadCrashCampaignMatchesSequentialReplay)
     std::uint64_t offload_cases = 0;
     for (std::uint64_t seed = 1; seed <= 6; ++seed) {
         hs::ExperimentConfig cfg = hs::make_fuzz_config(
-            seed, hs::SystemKind::WindServe, /*chaos=*/true, /*nodes=*/2,
-            /*intra_threads=*/8);
+            seed, hs::SystemKind::WindServe, /*chaos=*/true, /*nodes=*/2);
         // Campaign-local pressure: a tiny KV pool plus low watermarks
         // keep decode offloads in flight when the chaos schedule kills
         // pods (the fuzz traces are too small to trip the stock pair).
@@ -533,16 +476,8 @@ TEST(LpChaos, MidOffloadCrashCampaignMatchesSequentialReplay)
         cfg.offload_highwater = 0.10;
         cfg.offload_lowwater = 0.08;
 
-        hs::FuzzResult par = hs::run_fuzz_case(cfg);
-        hs::ExperimentConfig seq_cfg = cfg;
-        seq_cfg.intra_threads = 1;
-        hs::FuzzResult seq = hs::run_fuzz_case(seq_cfg);
-
-        EXPECT_EQ(par.checksum, seq.checksum) << "seed=" << seed;
-        EXPECT_EQ(par.finished, seq.finished) << "seed=" << seed;
-        EXPECT_EQ(par.aborted, seq.aborted) << "seed=" << seed;
-        EXPECT_EQ(par.audit_events, seq.audit_events) << "seed=" << seed;
-        EXPECT_EQ(par.audit_violations, 0u) << "seed=" << seed;
+        hs::FuzzResult res = hs::run_fuzz_case(cfg);
+        EXPECT_EQ(res.audit_violations, 0u) << "seed=" << seed;
 
         // Count how often the offload path actually engaged (run once
         // more with the system held so the cluster counters are
@@ -552,13 +487,12 @@ TEST(LpChaos, MidOffloadCrashCampaignMatchesSequentialReplay)
         opts.slo = cfg.scenario.slo;
         opts.horizon = cfg.horizon;
         opts.faults = cfg.faults;
-        opts.intra_threads = cfg.intra_threads;
         auto run = system->run(hs::make_trace(cfg), opts);
         auto *cs = dynamic_cast<windserve::core::ClusterServeSystem *>(
             system.get());
         ASSERT_NE(cs, nullptr) << "seed=" << seed;
         offload_cases += cs->cross_offloads() > 0 ? 1 : 0;
-        EXPECT_EQ(hs::result_checksum(run.requests), par.checksum)
+        EXPECT_EQ(hs::result_checksum(run.requests), res.checksum)
             << "seed=" << seed;
     }
     // The campaign is vacuous if no case ever had an offload in the
@@ -567,7 +501,7 @@ TEST(LpChaos, MidOffloadCrashCampaignMatchesSequentialReplay)
 }
 
 // ---------------------------------------------------------------------
-// 2-node golden snapshot at threads=4
+// 2-node golden snapshot
 // ---------------------------------------------------------------------
 
 namespace {
@@ -593,20 +527,9 @@ lp_snapshot()
     ec.audit = true;
     ec.offload_highwater = 0.10;
     ec.offload_lowwater = 0.08;
-    ec.intra_threads = 4;
     auto r = hs::run_experiment(ec);
     EXPECT_EQ(r.audit_violations, 0u);
     EXPECT_EQ(r.metrics.num_finished + r.metrics.num_unfinished, 300u);
-
-    // The golden pin is also an identity check: the sequential replay
-    // of the same config must agree on the EXACT event count before we
-    // compare the snapshot against its 5%-tolerance baseline.
-    hs::ExperimentConfig seq = ec;
-    seq.intra_threads = 1;
-    auto r1 = hs::run_experiment(seq);
-    EXPECT_EQ(r.events_fired, r1.events_fired);
-    EXPECT_EQ(r.metrics.num_finished, r1.metrics.num_finished);
-    EXPECT_EQ(r.metrics.makespan, r1.metrics.makespan);
 
     const auto &m = r.metrics;
     return {
