@@ -378,10 +378,80 @@ export_digests(const hs::ExperimentResult &r)
     };
 }
 
-std::string
-exports_golden_path()
+/** intra_cell() under a chaos schedule that fires instance and node
+ *  crashes, link outages and straggler windows while requests are in
+ *  flight, with a transfer watchdog short enough to trip. */
+hs::ExperimentConfig
+chaos_cell(hs::SystemKind kind)
 {
-    return std::string(WS_GOLDEN_DIR) + "/lp_cluster_exports.txt";
+    hs::ExperimentConfig ec = intra_cell(kind);
+    windserve::fault::FaultConfig fc;
+    fc.horizon = 30.0;
+    fc.warmup = 2.0;
+    fc.seed = 5;
+    fc.crash_mtbf = 2.0;
+    fc.mean_repair = 2.0;
+    fc.link_mtbf = 3.0;
+    fc.mean_outage = 3.0;
+    fc.straggler_mtbf = 4.0;
+    fc.mean_straggler = 3.0;
+    fc.node_mtbf = 8.0;
+    fc.mean_node_repair = 3.0;
+    fc.recovery.transfer_timeout = 0.3;
+    ec.faults = fc;
+    return ec;
+}
+
+/** export_digests() plus the eight fault counters and the recovery
+ *  latency sample of a chaos run. */
+std::vector<std::pair<std::string, std::string>>
+chaos_digests(const hs::ExperimentResult &r)
+{
+    const auto &m = r.metrics;
+    auto out = export_digests(r);
+    out.insert(out.end(), {
+        {"instance_crashes", std::to_string(m.instance_crashes)},
+        {"link_outages", std::to_string(m.link_outages)},
+        {"straggler_windows", std::to_string(m.straggler_windows)},
+        {"fault_redispatches", std::to_string(m.fault_redispatches)},
+        {"fault_retries", std::to_string(m.fault_retries)},
+        {"fault_aborts", std::to_string(m.fault_aborts)},
+        {"transfer_timeouts", std::to_string(m.transfer_timeouts)},
+        {"fault_recoveries", std::to_string(m.fault_recoveries)},
+        {"recovery_latency", digest(m.recovery_latency)},
+    });
+    return out;
+}
+
+std::string
+golden_path(const char *file)
+{
+    return std::string(WS_GOLDEN_DIR) + "/" + file;
+}
+
+/** Compare @p got with the golden file line by line, so a failure
+ *  names the surface that moved; WS_UPDATE_GOLDEN=1 re-records it. */
+void
+expect_golden(const std::string &got, const std::string &path)
+{
+    if (std::getenv("WS_UPDATE_GOLDEN")) {
+        std::ofstream out(path);
+        ASSERT_TRUE(out) << "cannot write " << path;
+        out << got;
+        GTEST_SKIP() << "golden file regenerated: " << path;
+    }
+
+    std::ifstream ws(path);
+    ASSERT_TRUE(ws) << "missing golden file " << path
+                    << " — regenerate with WS_UPDATE_GOLDEN=1";
+    std::istringstream gs(got);
+    std::string g, w;
+    while (std::getline(ws, w)) {
+        ASSERT_TRUE(std::getline(gs, g)) << "missing line: " << w;
+        EXPECT_EQ(g, w) << "export drifted (re-record only for an "
+                           "intended change, with WS_UPDATE_GOLDEN=1)";
+    }
+    EXPECT_FALSE(std::getline(gs, g)) << "extra line: " << g;
 }
 
 } // namespace
@@ -402,26 +472,27 @@ TEST(LpExports, FourNodeCellsMatchGoldenDigests)
             got << hs::to_string(kind) << "." << key << " " << value
                 << "\n";
     }
+    expect_golden(got.str(), golden_path("lp_cluster_exports.txt"));
+}
 
-    if (std::getenv("WS_UPDATE_GOLDEN")) {
-        std::ofstream out(exports_golden_path());
-        ASSERT_TRUE(out) << "cannot write " << exports_golden_path();
-        out << got.str();
-        GTEST_SKIP() << "golden file regenerated: " << exports_golden_path();
+// The same cells under chaos: pins the fault-target registration order
+// (the modulo order of FaultEvent::target), the position of the
+// ws_fault_events_total counters in the metric exports, and every
+// recovery path the faults drive, for all three systems.
+TEST(LpExports, ChaosCellsMatchGoldenDigests)
+{
+    std::ostringstream got;
+    for (auto kind : {hs::SystemKind::WindServe, hs::SystemKind::DistServe,
+                      hs::SystemKind::Vllm}) {
+        auto r = hs::run_experiment(chaos_cell(kind));
+        ASSERT_EQ(r.audit_violations, 0u) << hs::to_string(kind);
+        ASSERT_GT(r.metrics.instance_crashes, 0u) << hs::to_string(kind);
+        ASSERT_GT(r.metrics.straggler_windows, 0u) << hs::to_string(kind);
+        for (const auto &[key, value] : chaos_digests(r))
+            got << hs::to_string(kind) << "." << key << " " << value
+                << "\n";
     }
-
-    std::ifstream ws(exports_golden_path());
-    ASSERT_TRUE(ws) << "missing golden file " << exports_golden_path()
-                    << " — regenerate with WS_UPDATE_GOLDEN=1";
-    // Compare line by line so a failure names the surface that moved.
-    std::istringstream gs(got.str());
-    std::string g, w;
-    while (std::getline(ws, w)) {
-        ASSERT_TRUE(std::getline(gs, g)) << "missing line: " << w;
-        EXPECT_EQ(g, w) << "export drifted (re-record only for an "
-                           "intended change, with WS_UPDATE_GOLDEN=1)";
-    }
-    EXPECT_FALSE(std::getline(gs, g)) << "extra line: " << g;
+    expect_golden(got.str(), golden_path("lp_chaos_exports.txt"));
 }
 
 // The RunOptions path (trace + audit attachments created inside
