@@ -139,21 +139,35 @@ DistServeSystem::on_prefill_complete(std::size_t pair, Request *r)
 }
 
 void
-DistServeSystem::wire_faults(fault::FaultInjector &inj)
+DistServeSystem::attach(const engine::Attachments &at)
 {
     for (Pair &pr : pairs_) {
-        inj.add_instance(pr.prefill.get());
-        inj.add_instance(pr.decode.get());
-        inj.add_channel(&pr.xfer->forward_channel());
-        inj.add_channel(&pr.xfer->reverse_channel());
-        pr.xfer->set_faults(&inj);
+        pr.prefill->attach(at);
+        pr.decode->attach(at);
+        pr.xfer->attach(at);
+        if (at.telemetry) {
+            obs::MetricRegistry &reg = at.telemetry->registry();
+            pr.prefill->register_metrics(reg);
+            pr.decode->register_metrics(reg);
+            pr.xfer->forward_channel().register_metrics(reg);
+            pr.xfer->reverse_channel().register_metrics(reg);
+            pr.xfer->staged_channel().register_metrics(reg);
+        }
+        if (at.faults) {
+            at.faults->add_instance(pr.prefill.get());
+            at.faults->add_instance(pr.decode.get());
+            at.faults->add_channel(&pr.xfer->forward_channel());
+            at.faults->add_channel(&pr.xfer->reverse_channel());
+        }
     }
+    if (!at.faults)
+        return;
     // DistServe-style recovery: no KV backups and no role flexibility —
     // every crash victim recomputes its full prefill on its replica's
     // prefill instance (falling back to the next live replica when it
     // is down). This is the expensive full-re-migration path
     // WindServe's backup-aware re-dispatch is benchmarked against.
-    inj.set_redispatch([this](Request *r) {
+    at.faults->set_redispatch([this](Request *r) {
         r->prefilled = 0;
         r->generated = 0;
         std::size_t home = static_cast<std::size_t>(r->id) % pairs_.size();
@@ -166,7 +180,7 @@ DistServeSystem::wire_faults(fault::FaultInjector &inj)
         }
         pairs_[home].prefill->enqueue_prefill(r);
     });
-    inj.set_crash_hook(
+    at.faults->set_crash_hook(
         [this](engine::Instance &inst, std::vector<Request *> &victims) {
             for (Pair &pr : pairs_) {
                 if (&inst != pr.prefill.get())
@@ -176,53 +190,6 @@ DistServeSystem::wire_faults(fault::FaultInjector &inj)
                 pr.transferring.clear();
             }
         });
-}
-
-void
-DistServeSystem::wire_trace(obs::TraceRecorder &rec)
-{
-    for (Pair &pr : pairs_) {
-        pr.prefill->set_trace(&rec);
-        pr.decode->set_trace(&rec);
-        pr.xfer->set_trace(&rec);
-    }
-}
-
-void
-DistServeSystem::wire_telemetry(obs::Telemetry &t)
-{
-    obs::MetricRegistry &reg = t.registry();
-    for (Pair &pr : pairs_) {
-        pr.prefill->register_metrics(reg);
-        pr.decode->register_metrics(reg);
-        hw::Channel *channels[] = {&pr.xfer->forward_channel(),
-                                   &pr.xfer->reverse_channel(),
-                                   &pr.xfer->staged_channel()};
-        for (hw::Channel *ch : channels) {
-            const std::string lbl = "link=\"" + ch->name() + "\"";
-            reg.gauge("ws_link_inflight_bytes", lbl,
-                      [ch] { return ch->inflight_bytes(); },
-                      "Bytes submitted but not yet delivered per link");
-            reg.counter("ws_link_bytes_total", lbl,
-                        [ch] { return ch->total_bytes(); },
-                        "Lifetime bytes submitted per link");
-            reg.counter("ws_link_transfers_total", lbl,
-                        [ch] {
-                            return static_cast<double>(ch->completed());
-                        },
-                        "Transfers completed per link");
-        }
-    }
-}
-
-void
-DistServeSystem::wire_audit(audit::SimAuditor &a)
-{
-    for (Pair &pr : pairs_) {
-        pr.prefill->set_audit(&a);
-        pr.decode->set_audit(&a);
-        pr.xfer->set_audit(&a);
-    }
 }
 
 void

@@ -83,14 +83,7 @@ class DistServeSystem : public engine::ServingSystem
     void replay(const std::vector<workload::Request> &trace,
                 double horizon) override;
     void fill_system_metrics(metrics::RunMetrics &m) override;
-    void wire_trace(obs::TraceRecorder &rec) override;
-    void wire_audit(audit::SimAuditor &a) override;
-    void wire_faults(fault::FaultInjector &inj) override;
-    void wire_telemetry(obs::Telemetry &t) override;
-    std::vector<workload::Request> take_requests() override
-    {
-        return std::move(requests_);
-    }
+    void attach(const engine::Attachments &at) override;
 
   private:
     /** One prefill/decode pair with its private transfer path. */
@@ -109,7 +102,6 @@ class DistServeSystem : public engine::ServingSystem
     sim::Simulator sim_;
     hw::Topology topo_;
     std::vector<Pair> pairs_;
-    std::vector<workload::Request> requests_;
 };
 
 } // namespace windserve::baselines

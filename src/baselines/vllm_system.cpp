@@ -83,13 +83,20 @@ VllmColocatedSystem::replay(const std::vector<workload::Request> &trace,
 }
 
 void
-VllmColocatedSystem::wire_faults(fault::FaultInjector &inj)
+VllmColocatedSystem::attach(const engine::Attachments &at)
 {
-    for (auto &e : engines_)
-        inj.add_instance(e.get());
+    for (auto &e : engines_) {
+        e->attach(at);
+        if (at.telemetry)
+            e->register_metrics(at.telemetry->registry());
+        if (at.faults)
+            at.faults->add_instance(e.get());
+    }
+    if (!at.faults)
+        return;
     // No cross-engine KV: a victim restarts from scratch on the first
     // live engine, probing round-robin from its home engine.
-    inj.set_redispatch([this](Request *r) {
+    at.faults->set_redispatch([this](Request *r) {
         r->prefilled = 0;
         r->generated = 0;
         std::size_t n = engines_.size();
@@ -105,27 +112,6 @@ VllmColocatedSystem::wire_faults(fault::FaultInjector &inj)
         // request after its repair.
         engines_[home]->enqueue_prefill(r);
     });
-}
-
-void
-VllmColocatedSystem::wire_trace(obs::TraceRecorder &rec)
-{
-    for (auto &e : engines_)
-        e->set_trace(&rec);
-}
-
-void
-VllmColocatedSystem::wire_telemetry(obs::Telemetry &t)
-{
-    for (auto &e : engines_)
-        e->register_metrics(t.registry());
-}
-
-void
-VllmColocatedSystem::wire_audit(audit::SimAuditor &a)
-{
-    for (auto &e : engines_)
-        e->set_audit(&a);
 }
 
 void

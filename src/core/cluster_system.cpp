@@ -399,131 +399,52 @@ ClusterServeSystem::sweep_cross_transfers(Pod &src,
 }
 
 void
-ClusterServeSystem::wire_trace(obs::TraceRecorder &rec)
+ClusterServeSystem::attach(const engine::Attachments &at)
 {
-    trace_master_ = &rec;
-    if (!pod_sims_.empty()) {
-        // Each logical process records into a private shard stamped
-        // with its own clock (the master reads the hub clock, which
-        // lags inside a window); replay() absorbs the shards back into
-        // the master in pod order.
-        trace_shards_.reserve(pods_.size());
-        for (std::size_t k = 0; k < pods_.size(); ++k) {
-            trace_shards_.push_back(
-                std::make_unique<obs::TraceRecorder>(*pod_sims_[k]));
-            pods_[k]->wire_trace(*trace_shards_[k]);
-        }
-    } else {
-        for (auto &p : pods_)
-            p->wire_trace(rec);
-    }
-    for (auto &nic : nics_)
-        nic->set_trace(&rec, "interconnect", nic->name());
-}
-
-void
-ClusterServeSystem::wire_audit(audit::SimAuditor &a)
-{
-    for (auto &p : pods_)
-        p->wire_audit(a);
-    for (auto &nic : nics_)
-        nic->set_audit(&a);
-    if (ctrl_)
-        ctrl_->set_audit(&a);
-}
-
-void
-ClusterServeSystem::wire_faults(fault::FaultInjector &inj)
-{
-    for (auto &p : pods_)
-        p->wire_faults(inj);
-    for (auto &nic : nics_)
-        inj.add_shared_channel(nic.get());
-    // Node fault domains: every instance of every pod on the node goes
-    // down together under a NodeCrash.
-    for (std::size_t n = 0; n < cfg_.num_nodes; ++n) {
-        std::vector<engine::Instance *> group;
-        for (std::size_t k = n * cfg_.pods_per_node;
-             k < (n + 1) * cfg_.pods_per_node; ++k) {
-            group.push_back(&pods_[k]->prefill_instance());
-            group.push_back(&pods_[k]->decode_instance());
-        }
-        inj.add_node_group(std::move(group));
-    }
-    inj.set_redispatch([this](Request *r) {
-        if (!ctrl_) {
-            pods_[home_of(r)]->redispatch_after_fault(r);
-            return;
-        }
-        ctrl_->propose(ctrl::CommandKind::Redispatch, r->id, [this, r] {
-            // New-leader resume path: consult the KV-backup directory.
-            // A hit means the victim's checkpointed prefix survives at
-            // its home pod, so the re-dispatch restores from the
-            // backup instead of recomputing from scratch (the pod's
-            // scheduler reads its registry — the directory's backing
-            // truth — when it rebuilds the plan).
-            ++directory_consults_;
-            const ctrl::KvDirectory::Entry *e =
-                ctrl_->directory().lookup(r->id);
-            if (e && e->pod == home_of(r))
-                ++directory_hits_;
-            pods_[home_of(r)]->redispatch_after_fault(r);
-        });
-    });
-    if (ctrl_) {
-        inj.set_ctrl_fault([this](const fault::FaultEvent &ev) {
-            if (ev.kind == fault::FaultKind::LeaderCrash)
-                ctrl_->on_leader_crash(ev.param, ev.target);
-            else
-                ctrl_->on_partition(ev.param, ev.target);
-        });
-    }
-    inj.set_crash_hook(
-        [this](engine::Instance &inst, std::vector<Request *> &victims) {
-            auto it = pod_of_instance_.find(&inst);
-            if (it != pod_of_instance_.end())
-                it->second->on_instance_crashed(inst, victims);
-        });
-}
-
-void
-ClusterServeSystem::wire_telemetry(obs::Telemetry &t)
-{
-    telemetry_tick_ = std::max(t.config().sample_every, 0.0);
-    if (!pod_sims_.empty()) {
+    if (at.telemetry) {
+        telemetry_tick_ = std::max(at.telemetry->config().sample_every, 0.0);
         for (auto &s : pod_sims_)
-            t.arm_lp(*s); // attribute pod events to the profiler
-        if (t.journal()) {
-            // Pod-side decisions journal into per-pod shards; replay()
-            // merges them back (time order, pod-index tie-break).
-            journal_master_ = t.journal();
-            journal_shards_.reserve(pods_.size());
-            for (auto &p : pods_) {
-                journal_shards_.push_back(
-                    std::make_unique<obs::DecisionJournal>());
-                p->set_journal_shard(journal_shards_.back().get());
-            }
-        }
+            at.telemetry->arm_lp(*s); // attribute pod events too
+    }
+    if (!pod_sims_.empty()) {
+        // Each logical process traces and journals into private shards
+        // stamped with its own clock (the masters read the hub clock,
+        // which lags inside a window); replay() merges them back in
+        // pod order.
+        trace_master_ = at.trace;
+        journal_master_ = at.journal;
     }
     for (std::size_t k = 0; k < pods_.size(); ++k) {
-        pods_[k]->wire_telemetry(t, "pod=\"" + std::to_string(k) + "\"");
+        engine::Attachments pod_at = at;
+        if (trace_master_) {
+            trace_shards_.push_back(
+                std::make_unique<obs::TraceRecorder>(*pod_sims_[k]));
+            pod_at.trace = trace_shards_.back().get();
+        }
+        if (journal_master_) {
+            journal_shards_.push_back(
+                std::make_unique<obs::DecisionJournal>());
+            pod_at.journal = journal_shards_.back().get();
+        }
+        pods_[k]->attach(pod_at, "pod=\"" + std::to_string(k) + "\"");
     }
-    obs::MetricRegistry &reg = t.registry();
-    for (auto &nic_ptr : nics_) {
-        hw::SharedChannel *nic = nic_ptr.get();
-        const std::string lbl = "link=\"" + nic->name() + "\"";
-        reg.gauge("ws_link_inflight_bytes", lbl,
-                  [nic] { return nic->inflight_bytes(); },
-                  "Bytes submitted but not yet delivered per link");
-        reg.counter("ws_link_bytes_total", lbl,
-                    [nic] { return nic->total_bytes(); },
-                    "Lifetime bytes submitted per link");
-        reg.counter("ws_link_transfers_total", lbl,
-                    [nic] {
-                        return static_cast<double>(nic->completed());
-                    },
-                    "Transfers completed per link");
+    for (auto &nic : nics_) {
+        nic->attach(at, "interconnect", nic->name());
+        if (at.faults)
+            at.faults->add_shared_channel(nic.get());
+        if (at.telemetry)
+            nic->register_metrics(at.telemetry->registry());
     }
+    // The control plane runs on the hub timeline; its failover
+    // decisions journal straight into the master (merge_shards
+    // stable-sorts, keeping master entries first on time ties).
+    if (ctrl_)
+        ctrl_->attach(at);
+    if (at.faults)
+        install_fault_hooks(*at.faults);
+    if (!at.telemetry)
+        return;
+    obs::MetricRegistry &reg = at.telemetry->registry();
     reg.counter("ws_cluster_requests_routed_total", "",
                 [this] {
                     return static_cast<double>(balancer_.routed());
@@ -569,11 +490,6 @@ ClusterServeSystem::wire_telemetry(obs::Telemetry &t)
                   "Outstanding tokens charged to each pod");
     }
     if (ctrl_) {
-        // The control plane runs on the hub timeline; its failover
-        // decisions journal straight into the master (merge_shards
-        // stable-sorts, keeping master entries first on time ties).
-        if (t.journal())
-            ctrl_->set_journal(t.journal());
         ctrl::ControlPlane *cp = ctrl_.get();
         reg.gauge("ws_ctrl_term", "",
                   [cp] { return static_cast<double>(cp->max_term()); },
@@ -617,6 +533,56 @@ ClusterServeSystem::wire_telemetry(obs::Telemetry &t)
                     [cp] { return static_cast<double>(cp->failovers()); },
                     "Completed leader failovers");
     }
+}
+
+void
+ClusterServeSystem::install_fault_hooks(fault::FaultInjector &inj)
+{
+    // Node fault domains: every instance of every pod on the node goes
+    // down together under a NodeCrash.
+    for (std::size_t n = 0; n < cfg_.num_nodes; ++n) {
+        std::vector<engine::Instance *> group;
+        for (std::size_t k = n * cfg_.pods_per_node;
+             k < (n + 1) * cfg_.pods_per_node; ++k) {
+            group.push_back(&pods_[k]->prefill_instance());
+            group.push_back(&pods_[k]->decode_instance());
+        }
+        inj.add_node_group(std::move(group));
+    }
+    inj.set_redispatch([this](Request *r) {
+        if (!ctrl_) {
+            pods_[home_of(r)]->redispatch_after_fault(r);
+            return;
+        }
+        ctrl_->propose(ctrl::CommandKind::Redispatch, r->id, [this, r] {
+            // New-leader resume path: consult the KV-backup directory.
+            // A hit means the victim's checkpointed prefix survives at
+            // its home pod, so the re-dispatch restores from the
+            // backup instead of recomputing from scratch (the pod's
+            // scheduler reads its registry — the directory's backing
+            // truth — when it rebuilds the plan).
+            ++directory_consults_;
+            const ctrl::KvDirectory::Entry *e =
+                ctrl_->directory().lookup(r->id);
+            if (e && e->pod == home_of(r))
+                ++directory_hits_;
+            pods_[home_of(r)]->redispatch_after_fault(r);
+        });
+    });
+    if (ctrl_) {
+        inj.set_ctrl_fault([this](const fault::FaultEvent &ev) {
+            if (ev.kind == fault::FaultKind::LeaderCrash)
+                ctrl_->on_leader_crash(ev.param, ev.target);
+            else
+                ctrl_->on_partition(ev.param, ev.target);
+        });
+    }
+    inj.set_crash_hook(
+        [this](engine::Instance &inst, std::vector<Request *> &victims) {
+            auto it = pod_of_instance_.find(&inst);
+            if (it != pod_of_instance_.end())
+                it->second->on_instance_crashed(inst, victims);
+        });
 }
 
 void

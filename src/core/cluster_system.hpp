@@ -176,14 +176,7 @@ class ClusterServeSystem : public engine::ServingSystem
     void replay(const std::vector<workload::Request> &trace,
                 double horizon) override;
     void fill_system_metrics(metrics::RunMetrics &m) override;
-    void wire_trace(obs::TraceRecorder &rec) override;
-    void wire_audit(audit::SimAuditor &a) override;
-    void wire_faults(fault::FaultInjector &inj) override;
-    void wire_telemetry(obs::Telemetry &t) override;
-    std::vector<workload::Request> take_requests() override
-    {
-        return std::move(requests_);
-    }
+    void attach(const engine::Attachments &at) override;
 
   private:
     /** Arrival entry point: direct admission, or (with a replicated
@@ -213,6 +206,9 @@ class ClusterServeSystem : public engine::ServingSystem
         else
             lp_->post(pod_sims_[k]->now(), std::forward<F>(fn));
     }
+    /** Node fault domains plus the injector's redispatch, control-fault
+     *  and crash hooks (attach() with a fault injector). */
+    void install_fault_hooks(fault::FaultInjector &inj);
     /** Pod hook: re-home a victim whose pod is fully down. */
     bool maybe_redispatch_remote(Pod &src, workload::Request *r);
     /** Pod hook: sweep cross-pod copies out of a crashed prefill. */
@@ -239,8 +235,8 @@ class ClusterServeSystem : public engine::ServingSystem
     std::unique_ptr<sim::LpScheduler> lp_;
     /** cluster_lookahead_floor(topo_); 0 for single-pod clusters. */
     double ctl_latency_ = 0.0;
-    /** Telemetry sample period, captured by wire_telemetry() so the
-     *  LP windows never run a pod past a pending sample tick. */
+    /** Telemetry sample period, captured by attach() so the LP
+     *  windows never run a pod past a pending sample tick. */
     double telemetry_tick_ = 0.0;
     /** Per-pod observability shards (multi-pod): each stamps its
      *  pod's own clock, and the merge at replay end fixes the order
@@ -264,7 +260,6 @@ class ClusterServeSystem : public engine::ServingSystem
         std::size_t dst;
     };
     std::map<workload::RequestId, CrossXfer> cross_transferring_;
-    std::vector<workload::Request> requests_;
     std::size_t outstanding_ = 0;
     std::uint64_t cross_offloads_ = 0;
     std::uint64_t cross_redispatches_ = 0;

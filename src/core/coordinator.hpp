@@ -22,11 +22,6 @@
 #include "engine/instance.hpp"
 #include "transfer/migration.hpp"
 
-namespace windserve::obs {
-class TraceRecorder;
-class DecisionJournal;
-}
-
 namespace windserve::core {
 
 /** Tunables of the Coordinator's policies. */
@@ -118,18 +113,20 @@ class Coordinator
     std::uint64_t dispatches() const { return dispatches_; }
     std::uint64_t reschedules() const { return reschedules_; }
 
-    /** Record dispatch/reschedule decision instants on @p rec. */
-    void set_trace(obs::TraceRecorder *rec) { trace_ = rec; }
-
-    /** Report dispatch/reschedule decisions (with the slot/occupancy
-     *  evidence backing them) to @p a. */
-    void set_audit(audit::SimAuditor *a) { audit_ = a; }
-
-    /** Journal every dispatch deliberation and every pressure-triggered
-     *  rescheduling deliberation (candidate sets, scores, outcome) into
-     *  @p j. nullptr (the default) disables journaling; the decisions
-     *  themselves are identical either way. */
-    void set_journal(obs::DecisionJournal *j) { journal_ = j; }
+    /**
+     * Record dispatch/reschedule decision instants on at.trace, report
+     * the decisions (with the slot/occupancy evidence backing them) to
+     * at.audit, and journal every dispatch deliberation and every
+     * pressure-triggered rescheduling deliberation (candidate sets,
+     * scores, outcome) into at.journal. Null pointers (the default)
+     * disable each; the decisions themselves are identical either way.
+     */
+    void attach(const engine::Attachments &at)
+    {
+        trace_ = at.trace;
+        audit_ = at.audit;
+        journal_ = at.journal;
+    }
 
     /** Timebase for timestamped logs and decision instants. The
      *  coordinator owns no simulator; the serving system binds its own. */

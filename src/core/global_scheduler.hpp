@@ -35,12 +35,6 @@ class GlobalScheduler
     Coordinator &coordinator() { return coordinator_; }
     const Coordinator &coordinator() const { return coordinator_; }
 
-    /** Record coordinator decision instants on @p rec. */
-    void set_trace(obs::TraceRecorder *rec) { coordinator_.set_trace(rec); }
-
-    /** Report coordinator decisions to @p a. */
-    void set_audit(audit::SimAuditor *a) { coordinator_.set_audit(a); }
-
     /** Bind the owning system's simulator for timestamped diagnostics. */
     void bind_clock(const sim::Simulator *clock)
     {

@@ -132,67 +132,30 @@ Pod::Pod(sim::Simulator &sim, const WindServeConfig &cfg, PodHooks hooks,
 Pod::~Pod() = default;
 
 void
-Pod::wire_trace(obs::TraceRecorder &rec)
+Pod::attach(const engine::Attachments &at, const std::string &pod_label)
 {
-    prefill_->set_trace(&rec);
-    decode_->set_trace(&rec);
-    xfer_->set_trace(&rec);
-    migration_->set_trace(&rec);
-    backup_->set_trace(&rec);
-    scheduler_->set_trace(&rec);
-}
+    at_ = at;
+    prefill_->attach(at);
+    decode_->attach(at);
+    xfer_->attach(at);
+    migration_->attach(at);
+    backup_->attach(at);
+    scheduler_->coordinator().attach(at);
 
-void
-Pod::wire_audit(audit::SimAuditor &a)
-{
-    audit_ = &a;
-    prefill_->set_audit(&a);
-    decode_->set_audit(&a);
-    xfer_->set_audit(&a);
-    migration_->set_audit(&a);
-    scheduler_->set_audit(&a);
-}
-
-void
-Pod::wire_faults(fault::FaultInjector &inj)
-{
-    faults_ = &inj;
-    inj.add_instance(prefill_.get());
-    inj.add_instance(decode_.get());
-    inj.add_channel(&xfer_->forward_channel());
-    inj.add_channel(&xfer_->reverse_channel());
-    xfer_->set_faults(&inj);
-    // Chaos armed: checkpoint proactively so crash victims have a
-    // prefill-side KV copy to resume from (the backup-aware half of
-    // backup-aware re-dispatch).
-    backup_->fault_tolerance_mode();
-}
-
-void
-Pod::wire_telemetry(obs::Telemetry &t, const std::string &pod_label)
-{
-    telemetry_ = &t;
-    obs::MetricRegistry &reg = t.registry();
+    if (at.faults) {
+        at.faults->add_instance(prefill_.get());
+        at.faults->add_instance(decode_.get());
+        at.faults->add_channel(&xfer_->forward_channel());
+        at.faults->add_channel(&xfer_->reverse_channel());
+    }
+    if (!at.telemetry)
+        return;
+    obs::MetricRegistry &reg = at.telemetry->registry();
     prefill_->register_metrics(reg);
     decode_->register_metrics(reg);
-
-    hw::Channel *channels[] = {&xfer_->forward_channel(),
-                               &xfer_->reverse_channel(),
-                               &xfer_->staged_channel()};
-    for (hw::Channel *ch : channels) {
-        const std::string lbl = "link=\"" + ch->name() + "\"";
-        reg.gauge("ws_link_inflight_bytes", lbl,
-                  [ch] { return ch->inflight_bytes(); },
-                  "Bytes submitted but not yet delivered per link");
-        reg.counter("ws_link_bytes_total", lbl,
-                    [ch] { return ch->total_bytes(); },
-                    "Lifetime bytes submitted per link");
-        reg.counter("ws_link_transfers_total", lbl,
-                    [ch] {
-                        return static_cast<double>(ch->completed());
-                    },
-                    "Transfers completed per link");
-    }
+    xfer_->forward_channel().register_metrics(reg);
+    xfer_->reverse_channel().register_metrics(reg);
+    xfer_->staged_channel().register_metrics(reg);
 
     const Coordinator *coord = &scheduler_->coordinator();
     reg.counter("ws_sched_dispatches_total", pod_label,
@@ -220,13 +183,6 @@ Pod::wire_telemetry(obs::Telemetry &t, const std::string &pod_label)
                     return static_cast<double>(backup_->backups_taken());
                 },
                 "Proactive KV backups taken");
-
-    // In a multi-pod cluster dispatch decisions are made inside LP
-    // windows: write them into the pod's private shard (merged in
-    // time, then pod order at end of replay) instead of the shared
-    // journal.
-    scheduler_->coordinator().set_journal(journal_ ? journal_
-                                                   : t.journal());
 }
 
 void
@@ -256,7 +212,7 @@ Pod::finish_prefill_only(engine::Instance &inst, Request *r)
     // Single-output-token request: the prefill's first token is also the
     // EOS; no decode phase exists.
     r->finish_time = sim_.now();
-    audit::transition(audit_, *r, RequestState::Finished);
+    audit::transition(at_.audit, *r, RequestState::Finished);
     inst.release_kv(r);
     on_finished(r);
 }
@@ -311,20 +267,12 @@ Pod::take_held_offload(workload::RequestId id)
 void
 Pod::notify_decode_ready(Request *r)
 {
-    if (!faults_)
+    if (!at_.faults)
         return;
     if (hooks_.decode_ready)
         hooks_.decode_ready(*this, r);
     else
-        faults_->note_decode_ready(r);
-}
-
-obs::DecisionJournal *
-Pod::journal() const
-{
-    if (journal_)
-        return journal_;
-    return telemetry_ ? telemetry_->journal() : nullptr;
+        at_.faults->note_decode_ready(r);
 }
 
 void
@@ -372,7 +320,7 @@ Pod::redispatch_after_fault(Request *r)
     const bool resumable = backed >= r->prompt_tokens && backed > 0 &&
                            !prefill_->is_down() &&
                            prefill_->blocks().holds(r->id);
-    if (obs::DecisionJournal *jnl = journal()) {
+    if (obs::DecisionJournal *jnl = at_.journal) {
         obs::Decision d;
         d.time = sim_.now();
         d.kind = obs::DecisionKind::Redispatch;

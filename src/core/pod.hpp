@@ -40,14 +40,6 @@
 #include "transfer/kv_transfer.hpp"
 #include "transfer/migration.hpp"
 
-namespace windserve::fault {
-class FaultInjector;
-}
-namespace windserve::obs {
-class DecisionJournal;
-class Telemetry;
-}
-
 namespace windserve::core {
 
 /** Full configuration of a WindServe deployment (one pod's worth). */
@@ -114,7 +106,7 @@ struct PodHooks {
      * clusters post the notification onto the hub timeline, whose
      * clock the injector runs on); when absent the pod calls
      * FaultInjector::note_decode_ready() directly. Only invoked while
-     * a fault injector is wired.
+     * a fault injector is attached.
      */
     std::function<void(Pod &, workload::Request *)> decode_ready;
 };
@@ -180,28 +172,18 @@ class Pod
     /** Flush per-instance utilization stats at end of run. */
     void finalize_stats();
 
-    // ---- wiring (mirrors ServingSystem's attachment order) ----
-
-    void wire_trace(obs::TraceRecorder &rec);
-    void wire_audit(audit::SimAuditor &a);
-    /** Register instances/channels with @p inj (in the pod's canonical
-     *  order) and arm fault-tolerance mode. Does NOT install the
-     *  injector's redispatch/crash hooks — the owner routes those. */
-    void wire_faults(fault::FaultInjector &inj);
-    /** Register metric families. @p pod_label (`pod="k"`) tags the
-     *  per-pod scheduler/migration/backup series; channel and instance
-     *  series are already unique via name_prefix. */
-    void wire_telemetry(obs::Telemetry &t, const std::string &pod_label);
-
     /**
-     * Route this pod's decision-journal entries (dispatch decisions,
-     * post-fault re-dispatches) into @p j instead of the telemetry's
-     * shared journal. In a multi-pod cluster each pod writes a private
-     * shard; the owner merges the shards back into the shared journal
-     * at end of replay, which fixes the order of equal-time entries
-     * (master first, then pod index). Call before wire_telemetry().
+     * Hand @p at to every component of the pod. With at.faults set,
+     * registers the instances and channels on the injector (in the
+     * pod's canonical order) and arms fault-tolerance backups; the
+     * injector's redispatch/crash hooks are the owner's to install.
+     * With at.telemetry set, registers the metric families; @p pod_label
+     * (`pod="k"`) tags the per-pod scheduler/migration/backup series,
+     * while channel and instance series are already unique via
+     * name_prefix. In a multi-pod cluster at.trace and at.journal are
+     * the pod's private shards (see ClusterServeSystem).
      */
-    void set_journal_shard(obs::DecisionJournal *j) { journal_ = j; }
+    void attach(const engine::Attachments &at, const std::string &pod_label);
 
     // ---- introspection ----
 
@@ -223,7 +205,6 @@ class Pod
     void on_finished(workload::Request *r);
     void finish_prefill_only(engine::Instance &inst, workload::Request *r);
     void notify_decode_ready(workload::Request *r);
-    obs::DecisionJournal *journal() const;
 
     sim::Simulator &sim_;
     PodHooks hooks_;
@@ -238,10 +219,7 @@ class Pod
     std::unique_ptr<transfer::MigrationManager> migration_;
     std::unique_ptr<transfer::BackupManager> backup_;
     std::unique_ptr<GlobalScheduler> scheduler_;
-    audit::SimAuditor *audit_ = nullptr;
-    fault::FaultInjector *faults_ = nullptr;
-    obs::Telemetry *telemetry_ = nullptr;
-    obs::DecisionJournal *journal_ = nullptr; ///< per-pod shard override
+    engine::Attachments at_;
     /** Requests whose prefill KV copy is in flight — invisible to both
      *  instances' queues, so a prefill crash must sweep them here.
      *  Ordered map: the crash hook iterates it. */

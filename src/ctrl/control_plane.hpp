@@ -37,7 +37,7 @@
  * The owner injects faults via on_leader_crash()/on_partition() (the
  * cluster translates fault::FaultEvent), and wires the auditor's
  * split-brain / commit-conflict / double-apply invariants via
- * set_audit(). All events the control plane schedules are tagged with
+ * attach(). All events the control plane schedules are tagged with
  * the "ctrl" profiler source.
  */
 #pragma once
@@ -56,13 +56,6 @@
 #include "simcore/rng.hpp"
 #include "simcore/simulator.hpp"
 #include "simcore/stats.hpp"
-
-namespace windserve::audit {
-class SimAuditor;
-}
-namespace windserve::obs {
-class DecisionJournal;
-}
 
 namespace windserve::ctrl {
 
@@ -100,9 +93,14 @@ class ControlPlane
     ControlPlane(const ControlPlane &) = delete;
     ControlPlane &operator=(const ControlPlane &) = delete;
 
-    void set_audit(audit::SimAuditor *a) { audit_ = a; }
-    /** Failover decisions are journaled here (hub timeline only). */
-    void set_journal(obs::DecisionJournal *j) { journal_ = j; }
+    /** Check the split-brain / commit-conflict / double-apply
+     *  invariants on at.audit and journal failover decisions into
+     *  at.journal (hub timeline only). */
+    void attach(const engine::Attachments &at)
+    {
+        audit_ = at.audit;
+        journal_ = at.journal;
+    }
 
     /** Arm the election timers; call once at the start of replay. */
     void start();

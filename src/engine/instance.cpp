@@ -56,20 +56,13 @@ Instance::max_per_group() const
 }
 
 void
-Instance::set_trace(obs::TraceRecorder *rec)
+Instance::attach(const Attachments &at)
 {
-    trace_ = rec;
-    host_channel_.set_trace(rec, cfg_.name, "host-dma");
-    swap_.set_trace(rec, cfg_.name);
-}
-
-void
-Instance::set_audit(audit::SimAuditor *a)
-{
-    audit_ = a;
-    blocks_.set_audit(a, cfg_.name);
-    swap_.set_audit(a, cfg_.name);
-    host_channel_.set_audit(a);
+    trace_ = at.trace;
+    audit_ = at.audit;
+    blocks_.attach(at, cfg_.name);
+    swap_.attach(at, cfg_.name);
+    host_channel_.attach(at, cfg_.name, "host-dma");
 }
 
 void

@@ -216,21 +216,16 @@ class Instance
     std::uint64_t prefill_passes() const { return prefill_passes_; }
 
     /**
-     * Record execution spans (prefill slots, SBD stream, decode groups),
-     * local-scheduler instants (batch formation, chunk admission, stream
-     * split, swap-out/in) and host-link DMA spans on @p rec. nullptr
-     * (the default) disables all emission; the instance name is the
-     * trace process.
+     * Attach @p at to this instance and everything it owns (block
+     * manager, swap pool, host DMA channel). at.trace records execution
+     * spans (prefill slots, SBD stream, decode groups), local-scheduler
+     * instants (batch formation, chunk admission, stream split,
+     * swap-out/in) and host-link DMA spans, with the instance name as
+     * the trace process; at.audit sees every request state change.
+     * Null pointers (the default) disable either with zero behavioural
+     * change.
      */
-    void set_trace(obs::TraceRecorder *rec);
-
-    /**
-     * Install @p a on this instance and everything it owns (block
-     * manager, swap pool, host DMA channel) and route every request
-     * state change through it. nullptr (the default) disables auditing
-     * with zero behavioural change.
-     */
-    void set_audit(audit::SimAuditor *a);
+    void attach(const Attachments &at);
 
     /**
      * Register this instance's telemetry instruments on @p reg: queue

@@ -15,152 +15,92 @@ ServingSystem::total_events_fired()
     return simulator().events_fired();
 }
 
+namespace {
+
+/** The chaos engine's `ws_fault_events_total` counters, one per kind. */
 void
-ServingSystem::link_attachments()
+register_fault_counters(obs::MetricRegistry &reg,
+                        const fault::FaultInjector *inj)
 {
-    if (telemetry_ && faults_ && !fault_counters_registered_) {
-        // The chaos-engine counters only exist once BOTH attachments do,
-        // whichever attached first.
-        fault_counters_registered_ = true;
-        obs::MetricRegistry &reg = telemetry_->registry();
-        const fault::FaultInjector *inj = faults_.get();
-        const std::string help =
-            "Cumulative fault-engine events by kind";
-        reg.counter("ws_fault_events_total", "kind=\"instance_crash\"",
-                    [inj] {
-                        return static_cast<double>(
-                            inj->instance_crashes());
-                    },
-                    help);
-        reg.counter("ws_fault_events_total", "kind=\"node_crash\"",
-                    [inj] {
-                        return static_cast<double>(inj->node_crashes());
-                    },
-                    help);
-        reg.counter("ws_fault_events_total", "kind=\"link_outage\"",
-                    [inj] {
-                        return static_cast<double>(inj->link_outages());
-                    },
-                    help);
-        reg.counter("ws_fault_events_total", "kind=\"straggler_window\"",
-                    [inj] {
-                        return static_cast<double>(
-                            inj->straggler_windows());
-                    },
-                    help);
-        reg.counter("ws_fault_events_total", "kind=\"redispatch\"",
-                    [inj] {
-                        return static_cast<double>(inj->redispatches());
-                    },
-                    help);
-        reg.counter("ws_fault_events_total", "kind=\"retry\"",
-                    [inj] {
-                        return static_cast<double>(inj->retries());
-                    },
-                    help);
-        reg.counter("ws_fault_events_total", "kind=\"abort\"",
-                    [inj] {
-                        return static_cast<double>(inj->aborts());
-                    },
-                    help);
-        reg.counter("ws_fault_events_total", "kind=\"transfer_timeout\"",
-                    [inj] {
-                        return static_cast<double>(
-                            inj->transfer_timeouts());
-                    },
-                    help);
-        reg.counter("ws_fault_events_total", "kind=\"recovery\"",
-                    [inj] {
-                        return static_cast<double>(inj->recoveries());
-                    },
-                    help);
+    using Get = std::uint64_t (fault::FaultInjector::*)() const;
+    const std::pair<const char *, Get> kinds[] = {
+        {"instance_crash", &fault::FaultInjector::instance_crashes},
+        {"node_crash", &fault::FaultInjector::node_crashes},
+        {"link_outage", &fault::FaultInjector::link_outages},
+        {"straggler_window", &fault::FaultInjector::straggler_windows},
+        {"redispatch", &fault::FaultInjector::redispatches},
+        {"retry", &fault::FaultInjector::retries},
+        {"abort", &fault::FaultInjector::aborts},
+        {"transfer_timeout", &fault::FaultInjector::transfer_timeouts},
+        {"recovery", &fault::FaultInjector::recoveries},
+    };
+    for (const auto &[kind, get] : kinds) {
+        reg.counter("ws_fault_events_total",
+                    std::string("kind=\"") + kind + "\"",
+                    [inj, get] { return static_cast<double>((inj->*get)()); },
+                    "Cumulative fault-engine events by kind");
     }
-    if (!faults_)
-        return;
-    if (audit_) {
-        faults_->set_audit(audit_.get());
-        audit_->set_faults_enabled(true);
-    }
-    if (trace_)
-        faults_->set_trace(trace_.get());
 }
 
-obs::Telemetry *
-ServingSystem::attach_telemetry(const obs::TelemetryConfig &cfg)
-{
-    if (!telemetry_) {
-        telemetry_ = std::make_unique<obs::Telemetry>(cfg);
-        wire_telemetry(*telemetry_);
-        link_attachments();
-        // Arm BEFORE the other attachments so the self-profiler wraps
-        // every event they schedule (notably the fault-plan arming).
-        telemetry_->arm(simulator());
-    }
-    return telemetry_.get();
-}
+} // namespace
 
-obs::TraceRecorder *
-ServingSystem::attach_trace()
+void
+ServingSystem::instrument(const RunOptions &opts)
 {
-    if (!trace_) {
+    instrumented_ = true;
+    if (opts.telemetry)
+        telemetry_ = std::make_unique<obs::Telemetry>(*opts.telemetry);
+    if (opts.tracing)
         trace_ = std::make_unique<obs::TraceRecorder>(simulator());
-        wire_trace(*trace_);
-        link_attachments();
-    }
-    return trace_.get();
-}
-
-audit::SimAuditor *
-ServingSystem::attach_audit(audit::AuditConfig cfg)
-{
-    if (!audit_) {
+    if (opts.audit)
         audit_ = std::make_unique<audit::SimAuditor>(simulator(),
-                                                     std::move(cfg));
-        wire_audit(*audit_);
-        link_attachments();
-    }
-    return audit_.get();
-}
-
-fault::FaultInjector *
-ServingSystem::attach_faults(const fault::FaultConfig &cfg)
-{
-    if (!faults_) {
+                                                     *opts.audit);
+    if (opts.faults) {
+        fault::FaultConfig fc = *opts.faults;
+        if (fc.horizon <= 0.0)
+            fc.horizon = opts.horizon;
         faults_ = std::make_unique<fault::FaultInjector>(
-            simulator(), fault::FaultPlan::generate(cfg));
-        // Cross-link before wire_faults(): recovery hooks registered by
-        // the system may fire audit/trace callbacks from day one.
-        link_attachments();
-        wire_faults(*faults_);
-        faults_->arm();
+            simulator(), fault::FaultPlan::generate(fc));
     }
-    return faults_.get();
+
+    Attachments at;
+    at.trace = trace_.get();
+    at.audit = audit_.get();
+    at.faults = faults_.get();
+    at.telemetry = telemetry_.get();
+    at.journal = telemetry_ ? telemetry_->journal() : nullptr;
+    // Cross-link before attach(): recovery hooks the system registers
+    // may fire audit/trace callbacks from day one, and the auditor
+    // relaxes its fatal-crash checks once faults are expected.
+    if (faults_) {
+        faults_->attach(at);
+        if (audit_)
+            audit_->set_faults_enabled(true);
+    }
+    attach(at);
+    if (telemetry_ && faults_)
+        register_fault_counters(telemetry_->registry(), faults_.get());
+    // Telemetry arms before the fault schedule so the self-profiler
+    // wraps every event the schedule posts.
+    if (telemetry_)
+        telemetry_->arm(simulator());
+    if (faults_)
+        faults_->arm();
 }
 
 RunResult
 ServingSystem::run(const std::vector<workload::Request> &trace,
                    const RunOptions &opts)
 {
-    if (opts.telemetry)
-        attach_telemetry(*opts.telemetry);
-    if (opts.tracing)
-        attach_trace();
-    if (opts.audit)
-        attach_audit(*opts.audit);
-    if (opts.faults) {
-        fault::FaultConfig fc = *opts.faults;
-        if (fc.horizon <= 0.0)
-            fc.horizon = opts.horizon;
-        attach_faults(fc);
-    }
-
+    if (!instrumented_)
+        instrument(opts);
     replay(trace, opts.horizon);
 
     if (telemetry_)
         telemetry_->finish(simulator().now());
 
     RunResult out;
-    out.requests = take_requests();
+    out.requests = std::move(requests_);
     out.metrics = metrics::Collector(opts.slo).collect(out.requests);
     fill_system_metrics(out.metrics);
     if (faults_) {

@@ -18,19 +18,14 @@
 #include <vector>
 
 #include "audit/sim_auditor.hpp"
+#include "engine/attachments.hpp"
 #include "fault/fault_plan.hpp"
 #include "metrics/collector.hpp"
 #include "obs/telemetry.hpp"
 #include "workload/request.hpp"
 
-namespace windserve::obs {
-class TraceRecorder;
-}
 namespace windserve::sim {
 class Simulator;
-}
-namespace windserve::fault {
-class FaultInjector;
 }
 
 namespace windserve::engine {
@@ -50,10 +45,10 @@ struct RunResult {
 /**
  * Everything that shapes one run() call: the SLO the metrics are
  * collected against, the horizon, and the optional per-run attachments
- * (trace recorder, invariant auditor, chaos engine). One struct instead
- * of three copy-pasted enable_*() opt-ins; each attachment is created,
- * wired, and cross-linked by run() itself, in a fixed order, so a
- * configured run is a pure function of (RunOptions, trace, seed).
+ * (telemetry, trace recorder, invariant auditor, chaos engine). run()
+ * creates and cross-links the requested attachments in a fixed order
+ * and hands them to the system in one attach() pass, so a configured
+ * run is a pure function of (RunOptions, trace, seed).
  *
  * An attachment left disabled keeps the run byte-identical to a bare
  * one — tracing, auditing, and an empty fault schedule are all free
@@ -120,14 +115,19 @@ class ServingSystem
     /**
      * Replay @p trace (sorted by arrival) until every request finishes
      * or the horizon elapses, then collect metrics against the SLO.
-     * Attachments requested in @p opts are created and wired first —
-     * telemetry, then tracing, then audit, then faults, the fixed
-     * cross-linking order (telemetry leads so the self-profiler wraps
-     * every event the later attachments schedule). Unfinished requests
-     * remain in their last state and count against SLO attainment.
+     * Attachments requested in @p opts are created first — telemetry,
+     * tracing, audit, faults — and cross-linked (the injector reports
+     * into the auditor and the recorder), then handed to attach().
+     * After it the fault counters join the system's instruments, and
+     * telemetry is armed before the fault schedule, so the
+     * self-profiler wraps every event the schedule posts. Unfinished
+     * requests remain in their last state and count against SLO
+     * attainment.
      *
      * One-shot: a system instance models a single deployment lifetime;
-     * the per-request results are moved into the returned value.
+     * the per-request results are moved into the returned value. The
+     * attachments belong to the deployment too: a later run() keeps
+     * the first run's and ignores the attachment options.
      */
     RunResult run(const std::vector<workload::Request> &trace,
                   const RunOptions &opts);
@@ -149,51 +149,30 @@ class ServingSystem
     /** Fill instance-level utilization/counters into @p m. */
     virtual void fill_system_metrics(metrics::RunMetrics &m) = 0;
 
-    /** Surrender ownership of the per-request results after replay. */
-    virtual std::vector<workload::Request> take_requests() = 0;
-
-    /** Point every traced component at @p rec (system-specific). */
-    virtual void wire_trace(obs::TraceRecorder &rec) { (void)rec; }
-
-    /** Point every audited component at @p a (system-specific). */
-    virtual void wire_audit(audit::SimAuditor &a) { (void)a; }
-
     /**
-     * Register fault targets (instances, channels) and recovery hooks
-     * on @p inj (system-specific). Called before the schedule is armed.
+     * Hand @p at to every component (system-specific): point traced and
+     * audited components at the recorder and the auditor, register the
+     * fault targets (instances, channels) and recovery hooks on the
+     * injector in the system's canonical order, and register the
+     * system's instruments on the telemetry's MetricRegistry. Called
+     * once, before anything is armed and before replay.
      */
-    virtual void wire_faults(fault::FaultInjector &inj) { (void)inj; }
+    virtual void attach(const Attachments &at) = 0;
 
-    /**
-     * Register the system's instruments on @p t's MetricRegistry and
-     * hand the decision journal to the scheduler (system-specific).
-     * Called before the sampler is armed and before replay.
-     */
-    virtual void wire_telemetry(obs::Telemetry &t) { (void)t; }
+    /** The per-request results; replay() fills them and run() moves
+     *  them into the RunResult. */
+    std::vector<workload::Request> requests_;
 
   private:
-    /**
-     * The attachment internals behind the RunOptions path. Each
-     * attaches its component once (idempotent), wires it into the
-     * system via the matching wire_*() hook, and refreshes the
-     * cross-links between attachments.
-     */
-    obs::Telemetry *attach_telemetry(const obs::TelemetryConfig &cfg);
-    obs::TraceRecorder *attach_trace();
-    audit::SimAuditor *attach_audit(audit::AuditConfig cfg);
-    fault::FaultInjector *attach_faults(const fault::FaultConfig &cfg);
+    /** Build, cross-link, attach and arm the attachments @p opts asks
+     *  for (see run()). */
+    void instrument(const RunOptions &opts);
 
-    /** Point the attachments at each other (idempotent): the injector
-     *  reports into the recorder, the auditor, and the telemetry's
-     *  fault-counter instruments; the auditor relaxes its fatal-crash
-     *  checks once faults are expected. */
-    void link_attachments();
-
+    bool instrumented_ = false;
     std::unique_ptr<obs::Telemetry> telemetry_;
     std::unique_ptr<obs::TraceRecorder> trace_;
     std::unique_ptr<audit::SimAuditor> audit_;
     std::unique_ptr<fault::FaultInjector> faults_;
-    bool fault_counters_registered_ = false;
 };
 
 } // namespace windserve::engine

@@ -34,6 +34,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "engine/attachments.hpp"
 #include "fault/fault_plan.hpp"
 #include "simcore/stats.hpp"
 
@@ -46,12 +47,6 @@ class Instance;
 namespace windserve::hw {
 class Channel;
 class SharedChannel;
-}
-namespace windserve::audit {
-class SimAuditor;
-}
-namespace windserve::obs {
-class TraceRecorder;
 }
 namespace windserve::workload {
 struct Request;
@@ -108,8 +103,13 @@ class FaultInjector
     void set_crash_hook(
         std::function<void(engine::Instance &, std::vector<workload::Request *> &)> fn);
 
-    void set_audit(audit::SimAuditor *a) { audit_ = a; }
-    void set_trace(obs::TraceRecorder *rec) { trace_ = rec; }
+    /** Report crashes and recoveries to at.audit and record fault
+     *  instants on at.trace. */
+    void attach(const engine::Attachments &at)
+    {
+        audit_ = at.audit;
+        trace_ = at.trace;
+    }
 
     /** System hook receiving control-plane fault events (LeaderCrash,
      *  ControlPartition). The owner routes them into its

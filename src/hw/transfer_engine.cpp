@@ -6,9 +6,32 @@
 #include <stdexcept>
 
 #include "audit/sim_auditor.hpp"
+#include "obs/metric_registry.hpp"
 #include "obs/trace_recorder.hpp"
 
 namespace windserve::hw {
+
+namespace {
+
+/** The `ws_link_*` instruments of either channel kind. */
+template <class Chan>
+void
+register_link_metrics(obs::MetricRegistry &reg, const Chan &ch)
+{
+    const Chan *c = &ch;
+    const std::string lbl = "link=\"" + ch.name() + "\"";
+    reg.gauge("ws_link_inflight_bytes", lbl,
+              [c] { return c->inflight_bytes(); },
+              "Bytes submitted but not yet delivered per link");
+    reg.counter("ws_link_bytes_total", lbl,
+                [c] { return c->total_bytes(); },
+                "Lifetime bytes submitted per link");
+    reg.counter("ws_link_transfers_total", lbl,
+                [c] { return static_cast<double>(c->completed()); },
+                "Transfers completed per link");
+}
+
+} // namespace
 
 Channel::Channel(sim::Simulator &sim, Link link, std::string name)
     : sim_(sim), link_(link), name_(std::move(name)),
@@ -195,18 +218,19 @@ Channel::mean_utilization(sim::SimTime now)
 }
 
 void
-Channel::set_trace(obs::TraceRecorder *rec, std::string process,
-                   std::string track)
+Channel::attach(const engine::Attachments &at, std::string process,
+                std::string track)
 {
-    trace_ = rec;
+    trace_ = at.trace;
     trace_process_ = std::move(process);
     trace_track_ = std::move(track);
+    audit_ = at.audit;
 }
 
 void
-Channel::set_audit(audit::SimAuditor *a)
+Channel::register_metrics(obs::MetricRegistry &reg)
 {
-    audit_ = a;
+    register_link_metrics(reg, *this);
 }
 
 // ---------------------------------------------------------------------------
@@ -426,18 +450,19 @@ SharedChannel::mean_utilization(sim::SimTime now)
 }
 
 void
-SharedChannel::set_trace(obs::TraceRecorder *rec, std::string process,
-                         std::string track)
+SharedChannel::attach(const engine::Attachments &at, std::string process,
+                      std::string track)
 {
-    trace_ = rec;
+    trace_ = at.trace;
     trace_process_ = std::move(process);
     trace_track_ = std::move(track);
+    audit_ = at.audit;
 }
 
 void
-SharedChannel::set_audit(audit::SimAuditor *a)
+SharedChannel::register_metrics(obs::MetricRegistry &reg)
 {
-    audit_ = a;
+    register_link_metrics(reg, *this);
 }
 
 } // namespace windserve::hw

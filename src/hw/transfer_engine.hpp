@@ -23,15 +23,13 @@
 #include <string>
 #include <unordered_map>
 
+#include "engine/attachments.hpp"
 #include "hw/topology.hpp"
 #include "simcore/simulator.hpp"
 #include "simcore/utilization.hpp"
 
-namespace windserve::audit {
-class SimAuditor;
-}
 namespace windserve::obs {
-class TraceRecorder;
+class MetricRegistry;
 }
 
 namespace windserve::hw {
@@ -96,15 +94,17 @@ class Channel
 
     /**
      * Record each completed transfer as an occupancy span on
-     * @p process / @p track of @p rec (nullptr disables, the default).
+     * @p process / @p track of @p at.trace, and report submit/append/
+     * complete events to @p at.audit under this channel's name
+     * (completion hooks carry enough to check the link's physical
+     * capacity bound). Null pointers (the default) disable either.
      */
-    void set_trace(obs::TraceRecorder *rec, std::string process,
-                   std::string track);
+    void attach(const engine::Attachments &at, std::string process,
+                std::string track);
 
-    /** Report submit/append/complete events to @p a under this channel's
-     *  name; completion hooks carry enough to check the link's physical
-     *  capacity bound. nullptr (the default) disables auditing. */
-    void set_audit(audit::SimAuditor *a);
+    /** Register this link's `ws_link_*` gauge and counters, labelled
+     *  `link="<name>"`, on @p reg. */
+    void register_metrics(obs::MetricRegistry &reg);
 
     /**
      * Scale the effective bandwidth (fault injection): 1.0 is nominal,
@@ -214,14 +214,13 @@ class SharedChannel
     /** Time-averaged busy fraction of the link. */
     double mean_utilization(sim::SimTime now);
 
-    /** Record each completed transfer as an occupancy span on
-     *  @p process / @p track of @p rec (nullptr disables). */
-    void set_trace(obs::TraceRecorder *rec, std::string process,
-                   std::string track);
+    /** Trace occupancy spans and audit submit/complete events, as
+     *  Channel::attach() does. */
+    void attach(const engine::Attachments &at, std::string process,
+                std::string track);
 
-    /** Report submit/complete events to @p a under this channel's name
-     *  (same hooks as Channel). nullptr (the default) disables. */
-    void set_audit(audit::SimAuditor *a);
+    /** Register the same `ws_link_*` instruments as Channel. */
+    void register_metrics(obs::MetricRegistry &reg);
 
     /** Scale the total bandwidth (fault injection): 1.0 nominal, (0,1)
      *  degraded, 0 stalls the link until a later restore. */

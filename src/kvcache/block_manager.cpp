@@ -125,10 +125,10 @@ BlockManager::occupancy() const
 }
 
 void
-BlockManager::set_audit(audit::SimAuditor *a, const std::string &owner)
+BlockManager::attach(const engine::Attachments &at, const std::string &owner)
 {
-    audit_ = a;
-    audit_ledger_ = a ? &a->kv_ledger(owner) : nullptr;
+    audit_ = at.audit;
+    audit_ledger_ = audit_ ? &audit_->kv_ledger(owner) : nullptr;
 }
 
 } // namespace windserve::kvcache

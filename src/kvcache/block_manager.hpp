@@ -15,9 +15,10 @@
 #include <unordered_map>
 #include <vector>
 
+#include "engine/attachments.hpp"
+
 namespace windserve::audit {
 class KvLedger;
-class SimAuditor;
 }
 
 namespace windserve::kvcache {
@@ -88,14 +89,14 @@ class BlockManager
     std::size_t total_tokens() const { return total_tokens_; }
 
     /**
-     * Report every allocate/grow/release to @p a under @p owner (the
-     * instance name). nullptr (the default) disables auditing. The
-     * owner's shadow ledger is resolved here, once. Hooks fire BEFORE
-     * the operation applies — and before the manager's own logic_error
-     * throws — so the auditor can attach the repro seed to the first
-     * inconsistent event.
+     * Report every allocate/grow/release to @p at.audit under @p owner
+     * (the instance name). nullptr (the default) disables auditing.
+     * The owner's shadow ledger is resolved here, once. Hooks fire
+     * BEFORE the operation applies — and before the manager's own
+     * logic_error throws — so the auditor can attach the repro seed to
+     * the first inconsistent event.
      */
-    void set_audit(audit::SimAuditor *a, const std::string &owner);
+    void attach(const engine::Attachments &at, const std::string &owner);
 
   private:
     struct Alloc {

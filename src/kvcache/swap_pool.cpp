@@ -22,7 +22,7 @@ SwapPool::swap_out(ReqId id, std::size_t tokens)
     double bytes = bytes_for(tokens);
     bool fits = used_bytes_ + bytes <= capacity_bytes_;
     if (audit_) {
-        audit_->on_swap_out(audit_owner_, id, tokens, bytes, !held && fits,
+        audit_->on_swap_out(owner_, id, tokens, bytes, !held && fits,
                             held, used_bytes_, capacity_bytes_);
     }
     if (held)
@@ -34,7 +34,7 @@ SwapPool::swap_out(ReqId id, std::size_t tokens)
     ++swap_out_events_;
     swapped_bytes_total_ += bytes;
     if (trace_)
-        trace_->counter(trace_process_, "swap_pool_bytes", used_bytes_);
+        trace_->counter(owner_, "swap_pool_bytes", used_bytes_);
     return true;
 }
 
@@ -43,7 +43,7 @@ SwapPool::swap_in(ReqId id)
 {
     auto it = tokens_.find(id);
     if (audit_)
-        audit_->on_swap_in(audit_owner_, id, it != tokens_.end(),
+        audit_->on_swap_in(owner_, id, it != tokens_.end(),
                            used_bytes_);
     if (it == tokens_.end())
         throw std::logic_error("SwapPool::swap_in: id not swapped");
@@ -53,7 +53,7 @@ SwapPool::swap_in(ReqId id)
     ++swap_in_events_;
     tokens_.erase(it);
     if (trace_)
-        trace_->counter(trace_process_, "swap_pool_bytes", used_bytes_);
+        trace_->counter(owner_, "swap_pool_bytes", used_bytes_);
 }
 
 void
@@ -65,12 +65,12 @@ SwapPool::drop(ReqId id)
     // Ledger-wise a drop is a swap-in that skips the DMA: the auditor
     // credits the bytes back against this id.
     if (audit_)
-        audit_->on_swap_in(audit_owner_, id, true, used_bytes_);
+        audit_->on_swap_in(owner_, id, true, used_bytes_);
     used_bytes_ -= bytes_for(it->second);
     ++drops_;
     tokens_.erase(it);
     if (trace_)
-        trace_->counter(trace_process_, "swap_pool_bytes", used_bytes_);
+        trace_->counter(owner_, "swap_pool_bytes", used_bytes_);
 }
 
 std::vector<ReqId>
@@ -98,17 +98,11 @@ SwapPool::bytes_for(std::size_t tokens) const
 }
 
 void
-SwapPool::set_trace(obs::TraceRecorder *rec, std::string process)
+SwapPool::attach(const engine::Attachments &at, const std::string &owner)
 {
-    trace_ = rec;
-    trace_process_ = std::move(process);
-}
-
-void
-SwapPool::set_audit(audit::SimAuditor *a, std::string owner)
-{
-    audit_ = a;
-    audit_owner_ = std::move(owner);
+    trace_ = at.trace;
+    audit_ = at.audit;
+    owner_ = owner;
 }
 
 } // namespace windserve::kvcache

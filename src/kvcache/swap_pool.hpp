@@ -18,13 +18,6 @@
 
 #include "kvcache/block_manager.hpp"
 
-namespace windserve::audit {
-class SimAuditor;
-}
-namespace windserve::obs {
-class TraceRecorder;
-}
-
 namespace windserve::kvcache {
 
 /** Accounting for swapped-out request state in host memory. */
@@ -65,13 +58,12 @@ class SwapPool
     std::uint64_t drops() const { return drops_; }
     double swapped_bytes_total() const { return swapped_bytes_total_; }
 
-    /** Emit a host-pool occupancy counter on @p rec after every swap
-     *  event, under @p process (nullptr disables, the default). */
-    void set_trace(obs::TraceRecorder *rec, std::string process);
-
-    /** Report every swap event to @p a under @p owner (the instance
-     *  name); hooks fire before the pool's own logic_error throws. */
-    void set_audit(audit::SimAuditor *a, std::string owner);
+    /** Emit a host-pool occupancy counter on @p at.trace after every
+     *  swap event, and report every swap event to @p at.audit (hooks
+     *  fire before the pool's own logic_error throws), both under
+     *  @p owner (the instance name). Null pointers (the default)
+     *  disable either. */
+    void attach(const engine::Attachments &at, const std::string &owner);
 
   private:
     double capacity_bytes_;
@@ -83,9 +75,8 @@ class SwapPool
     std::uint64_t drops_ = 0;
     double swapped_bytes_total_ = 0.0;
     obs::TraceRecorder *trace_ = nullptr;
-    std::string trace_process_;
     audit::SimAuditor *audit_ = nullptr;
-    std::string audit_owner_;
+    std::string owner_;
 };
 
 } // namespace windserve::kvcache

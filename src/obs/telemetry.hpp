@@ -5,7 +5,8 @@
  * A Telemetry object is owned by one ServingSystem run (no globals) and
  * bundles the three observability pillars:
  *  - a MetricRegistry the system's components register instruments on
- *    (wire_telemetry()), sampled every `sample_every` simulated seconds;
+ *    during the system's attach() pass, sampled every `sample_every`
+ *    simulated seconds;
  *  - a DecisionJournal the scheduler appends dispatch / reschedule /
  *    re-dispatch decisions to;
  *  - a sim::PumpProfiler attributing fired events (and host wall-clock)

@@ -36,20 +36,13 @@ KvTransferManager::bytes_for_tokens(double tokens) const
 }
 
 void
-KvTransferManager::set_trace(obs::TraceRecorder *rec)
+KvTransferManager::attach(const engine::Attachments &at)
 {
-    p2d_.set_trace(rec, "interconnect", cfg_.name_prefix + "kv-p2d");
-    d2p_.set_trace(rec, "interconnect", cfg_.name_prefix + "kv-d2p");
-    staged_.set_trace(rec, "interconnect", cfg_.name_prefix + "kv-staged");
-}
-
-void
-KvTransferManager::set_audit(audit::SimAuditor *a)
-{
-    audit_ = a;
-    p2d_.set_audit(a);
-    d2p_.set_audit(a);
-    staged_.set_audit(a);
+    audit_ = at.audit;
+    faults_ = at.faults;
+    p2d_.attach(at, "interconnect", cfg_.name_prefix + "kv-p2d");
+    d2p_.attach(at, "interconnect", cfg_.name_prefix + "kv-d2p");
+    staged_.attach(at, "interconnect", cfg_.name_prefix + "kv-staged");
 }
 
 void

@@ -22,13 +22,6 @@
 #include "model/model_spec.hpp"
 #include "workload/request.hpp"
 
-namespace windserve::obs {
-class TraceRecorder;
-}
-namespace windserve::fault {
-class FaultInjector;
-}
-
 namespace windserve::transfer {
 
 /** How prefill KV reaches the decode instance. */
@@ -91,20 +84,16 @@ class KvTransferManager
     /** KV bytes for @p tokens tokens of this model. */
     double bytes_for_tokens(double tokens) const;
 
-    /** Record occupancy spans of both link directions on @p rec. */
-    void set_trace(obs::TraceRecorder *rec);
-
-    /** Audit both link directions and the Transferring transition. */
-    void set_audit(audit::SimAuditor *a);
-
     /**
-     * Arm the transfer watchdog: when @p inj 's recovery policy sets a
-     * transfer timeout, a prefill-KV copy that has not landed by then
-     * is re-issued over the host-staged path (the direct copy is
-     * disowned — its completion is ignored). nullptr (the default)
-     * disables the watchdog with zero behavioural change.
+     * Attach @p at: at.trace records occupancy spans of every link,
+     * at.audit checks every link and the Transferring transition, and
+     * at.faults arms the transfer watchdog — when its recovery policy
+     * sets a transfer timeout, a prefill-KV copy that has not landed by
+     * then is re-issued over the host-staged path (the direct copy is
+     * disowned — its completion is ignored). Null pointers (the
+     * default) disable each with zero behavioural change.
      */
-    void set_faults(fault::FaultInjector *inj) { faults_ = inj; }
+    void attach(const engine::Attachments &at);
 
     const KvTransferConfig &config() const { return cfg_; }
 

@@ -259,6 +259,14 @@ BackupManager::BackupManager(sim::Simulator &sim, KvTransferManager &xfer,
 {}
 
 void
+BackupManager::attach(const engine::Attachments &at)
+{
+    trace_ = at.trace;
+    if (at.faults)
+        fault_tolerance_mode();
+}
+
+void
 BackupManager::fault_tolerance_mode()
 {
     cfg_.source_occupancy_trigger = 0.0;

@@ -104,11 +104,14 @@ class MigrationManager
 
     const MigrationConfig &config() const { return cfg_; }
 
-    /** Record one span per migration (start -> complete/abort). */
-    void set_trace(obs::TraceRecorder *rec) { trace_ = rec; }
-
-    /** Route the Migrating/abort state transitions through @p a. */
-    void set_audit(audit::SimAuditor *a) { audit_ = a; }
+    /** Record one span per migration (start -> complete/abort) on
+     *  at.trace and route the Migrating/abort state transitions
+     *  through at.audit. */
+    void attach(const engine::Attachments &at)
+    {
+        trace_ = at.trace;
+        audit_ = at.audit;
+    }
 
   private:
     struct Migration {
@@ -160,18 +163,11 @@ class BackupManager
     void maybe_backup();
 
     /**
-     * Switch to proactive checkpointing for a chaos-armed run: back up
-     * continuously instead of only under memory pressure, with more
-     * concurrent copies and a lower size floor. A deployment expecting
-     * crashes pays reverse-channel bandwidth up front so victims can
-     * resume from the prefill-side copy instead of recomputing. Only
-     * ever called from wire_faults(): fault-free runs keep the
-     * pressure-triggered policy bit for bit.
+     * Record one span per backup copy on at.trace. With at.faults set
+     * the run is chaos-armed and the manager switches to
+     * fault_tolerance_mode().
      */
-    void fault_tolerance_mode();
-
-    /** Record one span per backup copy. */
-    void set_trace(obs::TraceRecorder *rec) { trace_ = rec; }
+    void attach(const engine::Attachments &at);
 
     /** Release target-side blocks when a request completes or migrates. */
     void on_request_done(workload::Request *r);
@@ -196,6 +192,17 @@ class BackupManager
     std::size_t inflight() const { return inflight_.size(); }
 
   private:
+    /**
+     * Proactive checkpointing for a chaos-armed run: back up
+     * continuously instead of only under memory pressure, with more
+     * concurrent copies and a lower size floor. A deployment expecting
+     * crashes pays reverse-channel bandwidth up front so victims can
+     * resume from the prefill-side copy instead of recomputing. Only
+     * attach() with a fault injector calls it: fault-free runs keep the
+     * pressure-triggered policy bit for bit.
+     */
+    void fault_tolerance_mode();
+
     sim::Simulator &sim_;
     KvTransferManager &xfer_;
     engine::Instance &source_;

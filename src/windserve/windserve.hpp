@@ -68,6 +68,7 @@
 #include "workload/trace_io.hpp"
 
 // serving engine
+#include "engine/attachments.hpp"
 #include "engine/batch.hpp"
 #include "engine/execution.hpp"
 #include "engine/instance.hpp"

@@ -141,7 +141,7 @@ TEST(AuditKv, DoubleFreeCaught)
     sim::Simulator s;
     au::SimAuditor aud(s, repro_cfg());
     kv::BlockManager bm(64);
-    bm.set_audit(&aud, "decode0");
+    bm.attach({.audit = &aud}, "decode0");
     ASSERT_TRUE(bm.allocate(1, 100));
     bm.release(1);
     EXPECT_TRUE(aud.ok());
@@ -153,7 +153,7 @@ TEST(AuditKv, DoubleAllocCaught)
     sim::Simulator s;
     au::SimAuditor aud(s, repro_cfg());
     kv::BlockManager bm(64);
-    bm.set_audit(&aud, "decode0");
+    bm.attach({.audit = &aud}, "decode0");
     ASSERT_TRUE(bm.allocate(1, 100));
     expect_violation("kv-double-alloc", [&] { bm.allocate(1, 50); });
 }
@@ -163,7 +163,7 @@ TEST(AuditKv, GrowOfUnknownIdCaught)
     sim::Simulator s;
     au::SimAuditor aud(s, repro_cfg());
     kv::BlockManager bm(64);
-    bm.set_audit(&aud, "decode0");
+    bm.attach({.audit = &aud}, "decode0");
     expect_violation("kv-grow-unknown", [&] { bm.grow(9, 32); });
 }
 
@@ -174,11 +174,11 @@ TEST(AuditKv, ShadowLedgerCrossChecksManagerCounter)
     sim::Simulator s;
     au::SimAuditor aud(s, repro_cfg());
     kv::BlockManager bm(64);
-    bm.set_audit(&aud, "decode0");
+    bm.attach({.audit = &aud}, "decode0");
     ASSERT_TRUE(bm.allocate(1, 100));
-    bm.set_audit(nullptr, "");
+    bm.attach({}, "");
     ASSERT_TRUE(bm.allocate(2, 100)); // invisible to the shadow ledger
-    bm.set_audit(&aud, "decode0");
+    bm.attach({.audit = &aud}, "decode0");
     expect_violation("kv-conservation", [&] { bm.allocate(3, 16); });
 }
 
@@ -187,7 +187,7 @@ TEST(AuditKv, CapacityRejectionIsNotAViolation)
     sim::Simulator s;
     au::SimAuditor aud(s, repro_cfg());
     kv::BlockManager bm(4, 16);
-    bm.set_audit(&aud, "decode0");
+    bm.attach({.audit = &aud}, "decode0");
     ASSERT_TRUE(bm.allocate(1, 64));  // all 4 blocks
     EXPECT_FALSE(bm.allocate(2, 16)); // clean rejection
     EXPECT_FALSE(bm.grow(1, 80));     // clean rejection
@@ -207,16 +207,16 @@ TEST(AuditKv, LedgerHandlesKeepOwnersApart)
     au::SimAuditor aud(s, cfg);
     kv::BlockManager zeta(64);
     kv::BlockManager alpha(64);
-    zeta.set_audit(&aud, "pod1/decode0");
-    alpha.set_audit(&aud, "pod0/decode0");
+    zeta.attach({.audit = &aud}, "pod1/decode0");
+    alpha.attach({.audit = &aud}, "pod0/decode0");
     EXPECT_EQ(&aud.kv_ledger("pod1/decode0"), &aud.kv_ledger("pod1/decode0"));
     EXPECT_NE(&aud.kv_ledger("pod1/decode0"), &aud.kv_ledger("pod0/decode0"));
 
     ASSERT_TRUE(zeta.allocate(1, 100));
     ASSERT_TRUE(alpha.allocate(1, 100));
-    zeta.set_audit(nullptr, "");
+    zeta.attach({}, "");
     ASSERT_TRUE(zeta.allocate(2, 100)); // invisible to zeta's ledger
-    zeta.set_audit(&aud, "pod1/decode0");
+    zeta.attach({.audit = &aud}, "pod1/decode0");
     ASSERT_TRUE(zeta.allocate(3, 16));
     ASSERT_EQ(aud.total_violations(), 1u);
     EXPECT_EQ(aud.violations()[0].invariant, "kv-conservation");
@@ -265,7 +265,7 @@ TEST(AuditSwap, DoubleSwapOutCaught)
     sim::Simulator s;
     au::SimAuditor aud(s, repro_cfg());
     kv::SwapPool pool(1e9, 1e4);
-    pool.set_audit(&aud, "decode0");
+    pool.attach({.audit = &aud}, "decode0");
     ASSERT_TRUE(pool.swap_out(1, 100));
     expect_violation("swap-double-out", [&] { pool.swap_out(1, 100); });
 }
@@ -275,7 +275,7 @@ TEST(AuditSwap, SwapInOfNonResidentCaught)
     sim::Simulator s;
     au::SimAuditor aud(s, repro_cfg());
     kv::SwapPool pool(1e9, 1e4);
-    pool.set_audit(&aud, "decode0");
+    pool.attach({.audit = &aud}, "decode0");
     expect_violation("swap-in-unknown", [&] { pool.swap_in(5); });
 }
 
@@ -284,7 +284,7 @@ TEST(AuditSwap, PoolFullRejectionIsNotAViolation)
     sim::Simulator s;
     au::SimAuditor aud(s, repro_cfg());
     kv::SwapPool pool(1e6, 1e4); // room for 100 tokens
-    pool.set_audit(&aud, "decode0");
+    pool.attach({.audit = &aud}, "decode0");
     ASSERT_TRUE(pool.swap_out(1, 100));
     EXPECT_FALSE(pool.swap_out(2, 1)); // full: clean rejection
     pool.swap_in(1);
@@ -300,7 +300,7 @@ TEST(AuditTransfer, AppendToCompletedTransferCaught)
     sim::Simulator s;
     au::SimAuditor aud(s, repro_cfg());
     hw::Channel chan(s, {hw::LinkType::PCIeSwitch, 1e9, 1e-5}, "p2d");
-    chan.set_audit(&aud);
+    chan.attach({.audit = &aud}, "", "");
     bool done = false;
     hw::TransferId id = chan.submit(1e6, [&] { done = true; });
     s.run();
@@ -316,7 +316,7 @@ TEST(AuditTransfer, CompletionRespectsLinkCapacity)
     sim::Simulator s;
     au::SimAuditor aud(s, repro_cfg());
     hw::Channel chan(s, {hw::LinkType::PCIeSwitch, 1e9, 1e-5}, "p2d");
-    chan.set_audit(&aud);
+    chan.attach({.audit = &aud}, "", "");
     int done = 0;
     hw::TransferId a = chan.submit(5e6, [&] { ++done; });
     chan.submit(2e6, [&] { ++done; });
@@ -438,7 +438,7 @@ TEST(AuditReport, NonFailFastAccumulates)
     cfg.fail_fast = false;
     au::SimAuditor aud(s, cfg);
     kv::BlockManager bm(64);
-    bm.set_audit(&aud, "gpu0");
+    bm.attach({.audit = &aud}, "gpu0");
     bm.release(99); // double free #1
     bm.release(98); // double free #2
     EXPECT_FALSE(aud.ok());

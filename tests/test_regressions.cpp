@@ -326,9 +326,9 @@ TEST(Regression, MigrationCancelledByFinishLeavesNoResidue)
                                md::ModelSpec::opt_13b(), {});
     windserve::kvcache::BackupRegistry reg;
     tr::MigrationManager mig(s, xfer, decode, prefill, reg);
-    decode.set_audit(&aud);
-    prefill.set_audit(&aud);
-    mig.set_audit(&aud);
+    decode.attach({.audit = &aud});
+    prefill.attach({.audit = &aud});
+    mig.attach({.audit = &aud});
     decode.callbacks.on_step = [&] { mig.on_source_step(); };
     decode.callbacks.on_finished = [&](wl::Request *r) {
         mig.on_request_finished(r);
@@ -370,7 +370,7 @@ TEST(Regression, MidPassAdmissionEarnsNoToken)
     cfg.exec_noise_sigma = 0.0;
     eng::Instance inst(s, cfg, cost, sim::Rng(1),
                        {hw::LinkType::HostPCIe, 20e9, 1e-6});
-    inst.set_audit(&aud);
+    inst.attach({.audit = &aud});
     auto a = decode_req(1, 512, 50, 0.0);
     auto b = decode_req(2, 512, 2, 0.0); // one token from finishing
     int steps = 0;
