@@ -1,26 +1,67 @@
 #include "workload/trace_io.hpp"
 
+#include <algorithm>
+#include <cctype>
+#include <charconv>
+#include <cmath>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 
 namespace windserve::workload {
 
 namespace {
 
+/** @p s without leading and trailing blanks (spaces, tabs, CR). */
+std::string_view
+trim(std::string_view s)
+{
+    const auto first = s.find_first_not_of(" \t\r");
+    if (first == std::string_view::npos)
+        return {};
+    return s.substr(first, s.find_last_not_of(" \t\r") - first + 1);
+}
+
 bool
 is_header_or_comment(const std::string &line)
 {
-    if (line.empty() || line[0] == '#')
+    if (trim(line).empty() || line[0] == '#')
         return true;
-    // A header row contains a letter in the first field.
-    for (char c : line) {
-        if (c == ',')
-            break;
-        if (std::isalpha(static_cast<unsigned char>(c)))
-            return true;
-    }
-    return false;
+    // A header row has a letter in its first field, which does not
+    // begin with a number ("nan" and "1e3x" are bad data, not headers).
+    std::string_view first =
+        trim(std::string_view(line).substr(0, line.find(',')));
+    const bool has_letter =
+        std::any_of(first.begin(), first.end(), [](char c) {
+            return std::isalpha(static_cast<unsigned char>(c));
+        });
+    double v;
+    return has_letter &&
+           std::from_chars(first.data(), first.data() + first.size(), v)
+                   .ec != std::errc{};
+}
+
+[[noreturn]] void
+bad_row(const std::string &what, std::size_t lineno)
+{
+    throw std::runtime_error("trace csv: " + what + " on line " +
+                             std::to_string(lineno));
+}
+
+/** The whole blank-trimmed field @p tok as a @p T. Unsigned types
+ *  take plain digits only and report overflow instead of wrapping. */
+template <class T>
+T
+parse_field(std::string_view tok, const char *what, std::size_t lineno)
+{
+    tok = trim(tok);
+    T v{};
+    auto [end, ec] = std::from_chars(tok.data(), tok.data() + tok.size(), v);
+    if (ec != std::errc{} || end != tok.data() + tok.size())
+        bad_row(std::string("bad ") + what + " '" + std::string(tok) + "'",
+                lineno);
+    return v;
 }
 
 } // namespace
@@ -39,27 +80,17 @@ parse_trace_csv(std::istream &in)
         std::istringstream row(line);
         std::string a, p, o;
         if (!std::getline(row, a, ',') || !std::getline(row, p, ',') ||
-            !std::getline(row, o, ',')) {
-            throw std::runtime_error("trace csv: malformed line " +
-                                     std::to_string(lineno));
-        }
+            !std::getline(row, o, ','))
+            bad_row("malformed row", lineno);
         Request r;
-        try {
-            r.arrival_time = std::stod(a);
-            r.prompt_tokens = static_cast<std::size_t>(std::stoul(p));
-            r.output_tokens = static_cast<std::size_t>(std::stoul(o));
-        } catch (const std::exception &) {
-            throw std::runtime_error("trace csv: bad number on line " +
-                                     std::to_string(lineno));
-        }
-        if (r.arrival_time < last_arrival)
-            throw std::runtime_error(
-                "trace csv: arrivals must be non-decreasing (line " +
-                std::to_string(lineno) + ")");
+        r.arrival_time = parse_field<double>(a, "arrival time", lineno);
+        r.prompt_tokens = parse_field<std::size_t>(p, "token count", lineno);
+        r.output_tokens = parse_field<std::size_t>(o, "token count", lineno);
+        // last_arrival starts at 0, so this also rejects negatives.
+        if (!std::isfinite(r.arrival_time) || r.arrival_time < last_arrival)
+            bad_row("arrivals must be finite and non-decreasing", lineno);
         if (r.prompt_tokens == 0 || r.output_tokens == 0)
-            throw std::runtime_error(
-                "trace csv: lengths must be positive (line " +
-                std::to_string(lineno) + ")");
+            bad_row("lengths must be positive", lineno);
         last_arrival = r.arrival_time;
         r.id = out.size();
         out.push_back(r);

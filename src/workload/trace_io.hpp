@@ -11,8 +11,11 @@
  *     0.125,692,87
  *     ...
  *
- * A header row is optional; blank lines and '#' comments are skipped.
- * Export also serialises per-request results for offline analysis.
+ * A header row (first field not a number) is optional; blank lines and
+ * '#' comments are skipped. Every field must parse whole: arrivals are
+ * finite, non-negative and non-decreasing; token counts are plain
+ * digits, positive and in range. Export also serialises per-request
+ * results for offline analysis.
  */
 #pragma once
 
@@ -24,7 +27,8 @@
 
 namespace windserve::workload {
 
-/** Parse a trace from CSV text. Throws std::runtime_error on bad rows. */
+/** Parse a trace from CSV text. Throws std::runtime_error naming the
+ *  line on a bad row. */
 std::vector<Request> parse_trace_csv(std::istream &in);
 
 /** Load a trace from a CSV file. */

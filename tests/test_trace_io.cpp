@@ -114,3 +114,65 @@ TEST(TraceIo, MissingFileThrows)
     EXPECT_THROW(wl::load_trace_csv("/nonexistent/nope.csv"),
                  std::runtime_error);
 }
+
+TEST(TraceIo, RejectsNegativeTokenCount)
+{
+    // std::stoul("-5") wraps to a huge positive count, and a negated
+    // 2^64 - 1 wraps all the way round to 1.
+    std::istringstream in("0.5,-5,10\n");
+    EXPECT_THROW(wl::parse_trace_csv(in), std::runtime_error);
+    std::istringstream wrap("0.5,-18446744073709551615,10\n");
+    EXPECT_THROW(wl::parse_trace_csv(wrap), std::runtime_error);
+}
+
+TEST(TraceIo, RejectsTrailingGarbage)
+{
+    std::istringstream count("0.5,12abc,10\n");
+    EXPECT_THROW(wl::parse_trace_csv(count), std::runtime_error);
+    std::istringstream arrival("0.5x,12,10\n");
+    EXPECT_THROW(wl::parse_trace_csv(arrival), std::runtime_error);
+}
+
+TEST(TraceIo, RejectsNanArrival)
+{
+    // nan < last is false, so a NaN slipped past the ordering check.
+    std::istringstream first("nan,10,10\n");
+    EXPECT_THROW(wl::parse_trace_csv(first), std::runtime_error);
+    std::istringstream later("0.5,10,10\nnan,10,10\n");
+    EXPECT_THROW(wl::parse_trace_csv(later), std::runtime_error);
+}
+
+TEST(TraceIo, RejectsInfiniteArrival)
+{
+    std::istringstream in("0.5,10,10\ninf,10,10\n");
+    EXPECT_THROW(wl::parse_trace_csv(in), std::runtime_error);
+}
+
+TEST(TraceIo, RejectsOverflowingCount)
+{
+    std::istringstream in("0.5,99999999999999999999999,10\n");
+    EXPECT_THROW(wl::parse_trace_csv(in), std::runtime_error);
+}
+
+TEST(TraceIo, ErrorNamesTheLine)
+{
+    std::istringstream in("arrival_time,prompt_tokens,output_tokens\n"
+                          "0.5,10,10\n"
+                          "0.7,-1,10\n");
+    try {
+        wl::parse_trace_csv(in);
+        FAIL() << "expected a parse error";
+    } catch (const std::runtime_error &e) {
+        EXPECT_NE(std::string(e.what()).find("line 3"), std::string::npos)
+            << e.what();
+    }
+}
+
+TEST(TraceIo, ToleratesBlanksAroundFields)
+{
+    std::istringstream in("0.5, 100 ,10\r\n1.0,\t20,2\r\n");
+    auto trace = wl::parse_trace_csv(in);
+    ASSERT_EQ(trace.size(), 2u);
+    EXPECT_EQ(trace[0].prompt_tokens, 100u);
+    EXPECT_EQ(trace[1].output_tokens, 2u);
+}
