@@ -30,6 +30,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -46,37 +47,53 @@ struct BenchArgs {
     double sample_every = 1.0; ///< telemetry sampling interval (sim s)
 };
 
+/**
+ * Parse the shared driver flags. A malformed value — a count that is
+ * not plain digits or below 1, a sampling interval that is not one
+ * finite number >= 0 — prints the problem and exits 2, as does an
+ * unknown argument or a missing value (with the usage line).
+ */
 inline BenchArgs
 parse_args(int argc, char **argv, std::size_t default_n)
 {
     BenchArgs args{default_n, harness::default_jobs(), {}, {}, 1.0};
+    auto jobs = [&](const std::string &v) {
+        args.jobs = harness::parse_count("--jobs", v, 1);
+    };
+    auto sample_every = [&](const std::string &v) {
+        args.sample_every =
+            harness::parse_real("--sample-every", v, 0.0, 1e9);
+    };
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
-        if ((arg == "--jobs" || arg == "-j") && i + 1 < argc) {
-            args.jobs = static_cast<std::size_t>(
-                std::max(1L, std::atol(argv[++i])));
-        } else if (arg.rfind("--jobs=", 0) == 0) {
-            args.jobs = static_cast<std::size_t>(
-                std::max(1L, std::atol(arg.c_str() + 7)));
-        } else if (arg == "--trace-out" && i + 1 < argc) {
-            args.trace_out = argv[++i];
-        } else if (arg.rfind("--trace-out=", 0) == 0) {
-            args.trace_out = arg.substr(12);
-        } else if (arg == "--metrics-out" && i + 1 < argc) {
-            args.metrics_out = argv[++i];
-        } else if (arg.rfind("--metrics-out=", 0) == 0) {
-            args.metrics_out = arg.substr(14);
-        } else if (arg == "--sample-every" && i + 1 < argc) {
-            args.sample_every = std::atof(argv[++i]);
-        } else if (arg.rfind("--sample-every=", 0) == 0) {
-            args.sample_every = std::atof(arg.c_str() + 15);
-        } else if (!arg.empty() && arg[0] != '-') {
-            args.num_requests = static_cast<std::size_t>(
-                std::max(1L, std::atol(arg.c_str())));
-        } else {
-            std::cerr << "usage: " << argv[0]
-                      << " [num_requests] [--jobs N] [--trace-out FILE]"
-                         " [--metrics-out FILE] [--sample-every SEC]\n";
+        try {
+            if ((arg == "--jobs" || arg == "-j") && i + 1 < argc) {
+                jobs(argv[++i]);
+            } else if (arg.rfind("--jobs=", 0) == 0) {
+                jobs(arg.substr(7));
+            } else if (arg == "--trace-out" && i + 1 < argc) {
+                args.trace_out = argv[++i];
+            } else if (arg.rfind("--trace-out=", 0) == 0) {
+                args.trace_out = arg.substr(12);
+            } else if (arg == "--metrics-out" && i + 1 < argc) {
+                args.metrics_out = argv[++i];
+            } else if (arg.rfind("--metrics-out=", 0) == 0) {
+                args.metrics_out = arg.substr(14);
+            } else if (arg == "--sample-every" && i + 1 < argc) {
+                sample_every(argv[++i]);
+            } else if (arg.rfind("--sample-every=", 0) == 0) {
+                sample_every(arg.substr(15));
+            } else if (!arg.empty() && arg[0] != '-') {
+                args.num_requests =
+                    harness::parse_count("num_requests", arg, 1);
+            } else {
+                std::cerr << "usage: " << argv[0]
+                          << " [num_requests] [--jobs N] [--trace-out FILE]"
+                             " [--metrics-out FILE] [--sample-every SEC]\n";
+                std::exit(2);
+            }
+        } catch (const std::invalid_argument &e) {
+            std::cerr << e.what() << "\n";
             std::exit(2);
         }
     }

@@ -24,7 +24,9 @@
  * latency; DistServe has no control plane and shows "-". --audit
  * attaches the fail-fast invariant auditor (including the control
  * plane's split-brain / double-apply checks) to every cell. --json
- * writes BENCH_fault.json for the ctrl_smoke gate.
+ * writes BENCH_fault.json for the ctrl_smoke gate. A --replicas value
+ * that is not plain digits >= 1 prints the problem and exits 2, like
+ * the shared flags (bench_common.hpp).
  */
 #include <fstream>
 #include <iostream>
@@ -157,9 +159,15 @@ main(int argc, char **argv)
     std::vector<char *> rest{argv[0]};
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
-        if (arg.rfind("--replicas=", 0) == 0)
-            replicas = std::stoul(arg.substr(11));
-        else if (arg == "--json")
+        if (arg.rfind("--replicas=", 0) == 0) {
+            try {
+                replicas = harness::parse_count("--replicas",
+                                                arg.substr(11), 1);
+            } catch (const std::invalid_argument &e) {
+                std::cerr << e.what() << "\n";
+                return 2;
+            }
+        } else if (arg == "--json")
             json = true;
         else if (arg.rfind("--json=", 0) == 0) {
             json = true;

@@ -14,9 +14,11 @@
  * no tolerance gate yet, it is the first recorded figure). --requests
  * is the trace size PER POD, so every cluster size serves the same
  * per-pod load (the paper's linear scaling rule). --audit attaches the
- * fail-fast invariant auditor to every run. A malformed count (--jobs
- * or --requests negative, not a number or below 1) prints the problem
- * and exits 2, as does an unknown argument.
+ * fail-fast invariant auditor to every run. A malformed value prints
+ * the problem and exits 2, as does an unknown argument: --jobs and
+ * --requests take plain digits >= 1; --rate (req/s/GPU, in
+ * [0.001, 1000]), --highwater/--lowwater (in [0, 1]) and
+ * --spine-oversub (in [0, 1000]) take one finite number each.
  *
  * --spine-oversub=F adds a fourth point: the 8-node cluster rerun on
  * an oversubscribed spine — every inter-node pair overridden to
@@ -235,13 +237,17 @@ main(int argc, char **argv)
                 bc.requests_per_pod =
                     harness::parse_count("--requests", arg.substr(11), 1);
             } else if (arg.rfind("--rate=", 0) == 0) {
-                bc.rate = std::stod(arg.substr(7));
+                bc.rate = harness::parse_real("--rate", arg.substr(7),
+                                              1e-3, 1e3);
             } else if (arg.rfind("--highwater=", 0) == 0) {
-                bc.highwater = std::stod(arg.substr(12));
+                bc.highwater =
+                    harness::parse_real("--highwater", arg.substr(12), 0, 1);
             } else if (arg.rfind("--lowwater=", 0) == 0) {
-                bc.lowwater = std::stod(arg.substr(11));
+                bc.lowwater =
+                    harness::parse_real("--lowwater", arg.substr(11), 0, 1);
             } else if (arg.rfind("--spine-oversub=", 0) == 0) {
-                bc.spine_oversub = std::stod(arg.substr(16));
+                bc.spine_oversub = harness::parse_real(
+                    "--spine-oversub", arg.substr(16), 0, 1e3);
             } else if (arg == "--audit") {
                 bc.audit = true;
             } else {

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cctype>
 #include <charconv>
+#include <cmath>
+#include <cstdio>
 #include <cstring>
 #include <stdexcept>
 
@@ -274,6 +276,25 @@ parse_count(const std::string &flag, const std::string &text,
     if (v < min)
         throw std::invalid_argument(flag + ": must be at least " +
                                     std::to_string(min) + ", got " + text);
+    return v;
+}
+
+double
+parse_real(const std::string &flag, const std::string &text, double min,
+           double max)
+{
+    double v = 0.0;
+    const char *end = text.data() + text.size();
+    auto [ptr, ec] = std::from_chars(text.data(), end, v);
+    if (ec != std::errc() || ptr != end || !std::isfinite(v))
+        throw std::invalid_argument(
+            flag + ": expected a finite number, got '" + text + "'");
+    if (v < min || v > max) {
+        char range[64];
+        std::snprintf(range, sizeof range, "[%g, %g]", min, max);
+        throw std::invalid_argument(flag + ": must be in " + range +
+                                    ", got " + text);
+    }
     return v;
 }
 

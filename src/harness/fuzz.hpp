@@ -128,4 +128,10 @@ SystemKind parse_system_kind(const std::string &name);
 std::uint64_t parse_count(const std::string &flag, const std::string &text,
                           std::uint64_t min = 0);
 
+/** Parse the value @p text of real-valued flag @p flag: the whole
+ *  token is one finite number in [@p min, @p max]. Throws
+ *  std::invalid_argument naming the flag otherwise. */
+double parse_real(const std::string &flag, const std::string &text,
+                  double min, double max);
+
 } // namespace windserve::harness
