@@ -22,7 +22,9 @@
 #include <fstream>
 #include <functional>
 #include <iostream>
+#include <limits>
 #include <queue>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -590,10 +592,23 @@ main(int argc, char **argv)
         } else if (arg.rfind("--json=", 0) == 0) {
             json = true;
             json_path = arg.substr(7);
-        } else if (arg == "--iters" && i + 1 < argc) {
-            iters = std::stol(argv[++i]);
-        } else if (arg.rfind("--iters=", 0) == 0) {
-            iters = std::stol(arg.substr(8));
+        } else if (arg == "--iters" || arg.rfind("--iters=", 0) == 0) {
+            std::string v;
+            if (arg != "--iters")
+                v = arg.substr(8);
+            else if (i + 1 < argc)
+                v = argv[++i];
+            try {
+                std::uint64_t n = harness::parse_count("--iters", v);
+                if (n > static_cast<std::uint64_t>(
+                            std::numeric_limits<long>::max()))
+                    throw std::invalid_argument(
+                        "--iters: value out of range: " + v);
+                iters = static_cast<long>(n);
+            } catch (const std::invalid_argument &e) {
+                std::cerr << e.what() << "\n";
+                return 2;
+            }
         } else {
             passthrough.push_back(argv[i]);
         }

@@ -15,8 +15,8 @@
  *
  * Usage: bottleneck_aware [num_requests]
  */
-#include <cstdlib>
 #include <iostream>
+#include <stdexcept>
 
 #include "windserve/windserve.hpp"
 
@@ -63,7 +63,14 @@ show(const harness::Scenario &scenario, double rate, std::size_t n)
 int
 main(int argc, char **argv)
 {
-    std::size_t n = argc > 1 ? std::atoi(argv[1]) : 2000;
+    std::size_t n = 2000;
+    try {
+        if (argc > 1)
+            n = harness::parse_count("num_requests", argv[1], 1);
+    } catch (const std::invalid_argument &e) {
+        std::cerr << e.what() << "\n";
+        return 2;
+    }
     std::cout << "Bottleneck-aware ability demo (paper Fig. 12)\n\n";
     // Left: decode-starved. DistServe fails on TPOT; WindServe
     // reschedules long decodes onto the prefill instance's memory.

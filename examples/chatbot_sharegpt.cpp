@@ -7,9 +7,9 @@
  *
  * Usage: chatbot_sharegpt [num_requests] [csv_path]
  */
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <stdexcept>
 
 #include "windserve/windserve.hpp"
 
@@ -18,7 +18,14 @@ main(int argc, char **argv)
 {
     using namespace windserve;
 
-    std::size_t n = argc > 1 ? std::atoi(argv[1]) : 2000;
+    std::size_t n = 2000;
+    try {
+        if (argc > 1)
+            n = harness::parse_count("num_requests", argv[1], 1);
+    } catch (const std::invalid_argument &e) {
+        std::cerr << e.what() << "\n";
+        return 2;
+    }
     const char *csv_path = argc > 2 ? argv[2] : nullptr;
 
     auto scenario = harness::Scenario::opt13b_sharegpt();

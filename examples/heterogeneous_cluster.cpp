@@ -12,8 +12,8 @@
  *
  * Usage: heterogeneous_cluster [per_gpu_rate] [num_requests]
  */
-#include <cstdlib>
 #include <iostream>
+#include <stdexcept>
 
 #include "windserve/windserve.hpp"
 
@@ -22,8 +22,17 @@ using namespace windserve;
 int
 main(int argc, char **argv)
 {
-    double rate = argc > 1 ? std::atof(argv[1]) : 2.5;
-    std::size_t n = argc > 2 ? std::atoi(argv[2]) : 2000;
+    double rate = 2.5;
+    std::size_t n = 2000;
+    try {
+        if (argc > 1)
+            rate = harness::parse_real("per_gpu_rate", argv[1], 1e-3, 1e3);
+        if (argc > 2)
+            n = harness::parse_count("num_requests", argv[2], 1);
+    } catch (const std::invalid_argument &e) {
+        std::cerr << e.what() << "\n";
+        return 2;
+    }
 
     auto scenario = harness::Scenario::opt13b_sharegpt();
     workload::TraceConfig tc;

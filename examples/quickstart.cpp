@@ -8,8 +8,8 @@
  *   cmake -B build -G Ninja && cmake --build build
  *   ./build/examples/quickstart [per_gpu_rate] [num_requests]
  */
-#include <cstdlib>
 #include <iostream>
+#include <stdexcept>
 
 #include "windserve/windserve.hpp"
 
@@ -18,9 +18,17 @@ main(int argc, char **argv)
 {
     using namespace windserve;
 
-    double rate = argc > 1 ? std::atof(argv[1]) : 4.0;
-    std::size_t n = argc > 2 ? static_cast<std::size_t>(std::atoi(argv[2]))
-                             : 2000;
+    double rate = 4.0;
+    std::size_t n = 2000;
+    try {
+        if (argc > 1)
+            rate = harness::parse_real("per_gpu_rate", argv[1], 1e-3, 1e3);
+        if (argc > 2)
+            n = harness::parse_count("num_requests", argv[2], 1);
+    } catch (const std::invalid_argument &e) {
+        std::cerr << e.what() << "\n";
+        return 2;
+    }
 
     harness::Scenario scenario = harness::Scenario::opt13b_sharegpt();
     std::cout << "scenario: " << scenario.name << " | "

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <stdexcept>
 #include <string>
 
@@ -218,10 +219,22 @@ ClusterServeSystem::tokens_of(const Request *r)
 }
 
 std::size_t
+ClusterServeSystem::slot_of(const Request *r) const
+{
+    const Request *first = requests_.data();
+    std::less<const Request *> before;
+    if (before(r, first) || !before(r, first + home_pod_.size()))
+        throw std::logic_error("ClusterServeSystem: request " +
+                               std::to_string(r->id) +
+                               " is not part of this replay");
+    return static_cast<std::size_t>(r - first);
+}
+
+std::size_t
 ClusterServeSystem::home_of(const Request *r) const
 {
-    auto it = home_pod_.find(r->id);
-    return it == home_pod_.end() ? 0 : it->second;
+    std::uint32_t k = home_pod_[slot_of(r)];
+    return k == kNoHome ? 0 : k;
 }
 
 const std::vector<bool> &
@@ -251,18 +264,21 @@ ClusterServeSystem::on_arrival(Request *r)
 void
 ClusterServeSystem::admit_arrival(Request *r)
 {
-    std::size_t k = balancer_.route(tokens_of(r), &live_pods());
-    home_pod_[r->id] = k;
+    // Only the fault injector crashes instances: without one every pod
+    // is live and the unmasked scan picks the same pod.
+    std::size_t k =
+        balancer_.route(tokens_of(r), faults() ? &live_pods() : nullptr);
+    home_pod_[slot_of(r)] = static_cast<std::uint32_t>(k);
     pods_[k]->on_arrival(r);
 }
 
 void
 ClusterServeSystem::retire_finished(Request *r)
 {
-    auto it = home_pod_.find(r->id);
-    if (it != home_pod_.end()) {
-        balancer_.release(it->second, tokens_of(r));
-        home_pod_.erase(it);
+    std::uint32_t &home = home_pod_[slot_of(r)];
+    if (home != kNoHome) {
+        balancer_.release(home, tokens_of(r));
+        home = kNoHome;
     }
     if (outstanding_ > 0)
         --outstanding_;
@@ -357,7 +373,7 @@ ClusterServeSystem::decide_offload(std::size_t k, Request *r,
         pods_[x.src]->prefill_instance().release_kv(r);
         balancer_.release(x.src, tokens_of(r));
         balancer_.assign(x.dst, tokens_of(r));
-        home_pod_[r->id] = x.dst;
+        home_pod_[slot_of(r)] = static_cast<std::uint32_t>(x.dst);
         pods_[x.dst]->admit_remote_decode(r);
     });
 }
@@ -378,7 +394,7 @@ ClusterServeSystem::maybe_redispatch_remote(Pod &src, Request *r)
     ++cross_redispatches_;
     balancer_.release(src.index(), tokens_of(r));
     balancer_.assign(dst, tokens_of(r));
-    home_pod_[r->id] = dst;
+    home_pod_[slot_of(r)] = static_cast<std::uint32_t>(dst);
     pods_[dst]->on_arrival(r);
     return true;
 }
@@ -590,6 +606,7 @@ ClusterServeSystem::replay(const std::vector<workload::Request> &trace,
                            double horizon)
 {
     requests_ = trace;
+    home_pod_.assign(requests_.size(), kNoHome);
     outstanding_ = requests_.size();
     if (!pod_sims_.empty()) {
         sim::LpScheduler::Config lc;

@@ -219,6 +219,8 @@ class ClusterServeSystem : public engine::ServingSystem
     {
         return k / cfg_.pods_per_node;
     }
+    /** @p r 's slot in home_pod_; throws if @p r is not in requests_. */
+    std::size_t slot_of(const workload::Request *r) const;
     std::size_t home_of(const workload::Request *r) const;
     static double tokens_of(const workload::Request *r);
     /** Pods whose instances are not both down, refilled into live_
@@ -251,8 +253,10 @@ class ClusterServeSystem : public engine::ServingSystem
     /** live_pods() buffer, reused across admissions and re-dispatches. */
     std::vector<bool> live_;
     std::map<const engine::Instance *, Pod *> pod_of_instance_;
-    /** Current owning pod per in-flight request. */
-    std::map<workload::RequestId, std::size_t> home_pod_;
+    /** Current owning pod per request, indexed like requests_;
+     *  kNoHome before admission and after retirement. */
+    std::vector<std::uint32_t> home_pod_;
+    static constexpr std::uint32_t kNoHome = ~0u;
     /** Cross-pod KV copies in flight: request id -> (src, dst) pod. */
     struct CrossXfer {
         workload::Request *r;

@@ -46,6 +46,8 @@ Instance::Instance(sim::Simulator &sim, InstanceConfig cfg,
     slot_busy_.assign(pp, false);
     groups_.resize(pp);
     chunk_head_.assign(pp, nullptr);
+    hybrid_assists_.resize(pp);
+    group_chunk_.assign(pp, 0);
 }
 
 std::size_t
@@ -310,7 +312,7 @@ Instance::try_start_sbd_stream()
                 callbacks.on_assist_bounce(r);
             continue;
         }
-    blocks_.allocate(r->id, r->prompt_tokens);
+        blocks_.allocate(r->id, r->prompt_tokens);
         assist_q_.pop_front();
         if (r->prefill_start_time == workload::kNoTime)
             r->prefill_start_time = sim_.now();
@@ -490,6 +492,7 @@ Instance::try_start_group(std::size_t g)
     grp.busy = true;
     grp.iteration_end = sim_.now() + dur;
     grp.iteration_members = grp.members;
+    grp.iteration_handles = grp.handles;
     sim_.schedule(dur, [this, g, e = epoch_] {
         if (e == epoch_)
             complete_group(g);
@@ -505,10 +508,8 @@ Instance::complete_group(std::size_t g)
         ++decode_iters_;
 
     // Chunk bookkeeping.
-    auto chunk_it = group_chunk_.find(g);
-    if (chunk_it != group_chunk_.end()) {
-        std::size_t c = chunk_it->second;
-        group_chunk_.erase(chunk_it);
+    if (std::size_t c = group_chunk_[g]) {
+        group_chunk_[g] = 0;
         Request *r = chunk_head_[g];
         assert(r != nullptr);
         r->prefilled += c;
@@ -519,10 +520,9 @@ Instance::complete_group(std::size_t g)
     }
 
     // Hybrid assist prefills complete with the pass.
-    auto hy_it = hybrid_assists_.find(g);
-    if (hy_it != hybrid_assists_.end()) {
-        std::vector<Request *> done = std::move(hy_it->second);
-        hybrid_assists_.erase(hy_it);
+    if (!hybrid_assists_[g].empty()) {
+        std::vector<Request *> done = std::move(hybrid_assists_[g]);
+        hybrid_assists_[g].clear();
         for (Request *r : done) {
             r->prefilled = r->prompt_tokens;
             finish_prefill_of(r);
@@ -538,8 +538,12 @@ Instance::complete_group(std::size_t g)
     // receive the token (and certainly must not "finish" while sitting
     // in the waiting queue).
     std::vector<Request *> members = std::move(grp.iteration_members);
+    std::vector<kvcache::KvHandle> handles =
+        std::move(grp.iteration_handles);
     grp.iteration_members.clear();
-    for (Request *r : members) {
+    grp.iteration_handles.clear();
+    for (std::size_t i = 0; i < members.size(); ++i) {
+        Request *r = members[i];
         if (!grp.contains(r))
             continue;
         // Reentrancy guard: a finish callback earlier in this loop may
@@ -555,7 +559,7 @@ Instance::complete_group(std::size_t g)
         r->note_token(sim_.now());
         if (r->generated >= r->output_tokens) {
             finish_request(r);
-        } else if (!blocks_.grow(r->id, r->context_length())) {
+        } else if (!blocks_.grow(handles[i], r->id, r->context_length())) {
             handle_block_exhaustion(r, g);
         }
     }
@@ -775,7 +779,7 @@ Instance::crash()
     for (const auto &grp : groups_)
         victims.insert(victims.end(), grp.members.begin(),
                        grp.members.end());
-    for (const auto &[g, assists] : hybrid_assists_)
+    for (const auto &assists : hybrid_assists_)
         victims.insert(victims.end(), assists.begin(), assists.end());
 
     // All on-GPU KV is gone — including blocks held for requests that
@@ -798,13 +802,11 @@ Instance::crash()
     sbd_batch_.clear();
     sbd_active_ = false;
     sbd_tokens_ = 0;
-    for (auto &grp : groups_) {
-        grp.members.clear();
-        grp.iteration_members.clear();
-        grp.busy = false;
-    }
-    hybrid_assists_.clear();
-    group_chunk_.clear();
+    for (auto &grp : groups_)
+        grp.clear();
+    for (auto &assists : hybrid_assists_)
+        assists.clear();
+    std::fill(group_chunk_.begin(), group_chunk_.end(), 0);
     swap_ready_.clear();
     swapping_in_.clear();
 
@@ -897,10 +899,9 @@ Instance::refresh_utilization()
         bw += cm.decode_bandwidth_utilization(
             static_cast<double>(grp.size()),
             static_cast<double>(grp.sum_context()));
-        auto it = group_chunk_.find(g);
-        if (it != group_chunk_.end()) {
+        if (group_chunk_[g] != 0) {
             compute += cm.prefill_compute_utilization(
-                static_cast<double>(it->second));
+                static_cast<double>(group_chunk_[g]));
         }
     }
     compute_util_.set_level(sim_.now(), std::min(1.0, compute));

@@ -24,7 +24,6 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -314,10 +313,10 @@ class Instance
 
     std::vector<DecodeGroup> groups_;
 
-    // hybrid assist jobs attached to an in-flight group pass
-    std::unordered_map<std::size_t, std::vector<Request *>> hybrid_assists_;
-    // chunk tokens attached to an in-flight group pass
-    std::unordered_map<std::size_t, std::size_t> group_chunk_;
+    // per group: hybrid assist jobs attached to its in-flight pass
+    std::vector<std::vector<Request *>> hybrid_assists_;
+    // per group: chunk tokens attached to its in-flight pass (0 = none)
+    std::vector<std::size_t> group_chunk_;
 
     std::unordered_set<kvcache::ReqId> swap_ready_;   ///< swap-out done
     std::unordered_set<kvcache::ReqId> swapping_in_;  ///< swap-in running

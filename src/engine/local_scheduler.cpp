@@ -1,6 +1,7 @@
 #include "engine/local_scheduler.hpp"
 
 #include <algorithm>
+#include <optional>
 
 namespace windserve::engine {
 
@@ -20,7 +21,7 @@ form_prefill_batch(std::deque<Request *> &queue,
             break;
         if (!blocks.can_allocate(tokens))
             break;
-    blocks.allocate(r->id, tokens);
+        blocks.allocate(r->id, tokens);
         queue.pop_front();
         batch.requests.push_back(r);
         batch.total_tokens += tokens;
@@ -59,16 +60,17 @@ admit_decodes(std::deque<Request *> &queue, std::vector<DecodeGroup> &groups,
         if (smallest == groups.end() || smallest->size() >= max_per_group)
             break;
         std::size_t tokens = r->context_length();
-        if (!blocks.holds(r->id)) {
+        std::optional<kvcache::KvHandle> kv = blocks.find(r->id);
+        if (!kv) {
             if (alloc_blocked || !blocks.can_allocate(tokens)) {
                 alloc_blocked = true;
                 ++it;
                 continue;
             }
-            blocks.allocate(r->id, tokens);
+            kv = blocks.allocate(r->id, tokens);
         }
         it = queue.erase(it);
-        smallest->members.push_back(r);
+        smallest->add(r, *kv);
         admitted.push_back(r);
     }
     return admitted;

@@ -26,11 +26,18 @@ BlockManager::can_allocate(std::size_t tokens) const
     return blocks_for(tokens) <= free_blocks();
 }
 
-bool
+BlockManager::Alloc *
+BlockManager::lookup(ReqId id)
+{
+    auto it = index_.find(id);
+    return it == index_.end() ? nullptr : &slab_[it->second];
+}
+
+std::optional<KvHandle>
 BlockManager::allocate(ReqId id, std::size_t tokens)
 {
     std::size_t need = blocks_for(tokens);
-    bool fresh = per_req_.count(id) == 0;
+    bool fresh = index_.count(id) == 0;
     bool fits = need <= free_blocks();
     if (audit_) {
         audit_->on_kv_alloc(*audit_ledger_, id, tokens, need, fresh && fits,
@@ -39,22 +46,33 @@ BlockManager::allocate(ReqId id, std::size_t tokens)
     if (!fresh)
         throw std::logic_error("BlockManager::allocate: id already held");
     if (!fits)
-        return false;
+        return std::nullopt;
     used_blocks_ += need;
     total_tokens_ += tokens;
-    per_req_[id] = Alloc{tokens, need};
-    return true;
+    KvHandle h;
+    if (free_slots_.empty()) {
+        h.slot = static_cast<std::uint32_t>(slab_.size());
+        slab_.push_back(Alloc{id, true, tokens, need});
+    } else {
+        h.slot = free_slots_.back();
+        free_slots_.pop_back();
+        slab_[h.slot] = Alloc{id, true, tokens, need};
+    }
+    index_.emplace(id, h.slot);
+    return h;
 }
 
 bool
-BlockManager::grow(ReqId id, std::size_t new_tokens)
+BlockManager::grow(KvHandle h, ReqId id, std::size_t new_tokens)
 {
-    auto it = per_req_.find(id);
-    bool known = it != per_req_.end();
-    bool growing = known && new_tokens >= it->second.tokens;
+    Alloc *a = h.slot < slab_.size() && slab_[h.slot].live &&
+                       slab_[h.slot].id == id
+                   ? &slab_[h.slot]
+                   : lookup(id);
+    bool known = a != nullptr;
+    bool growing = known && new_tokens >= a->tokens;
     std::size_t need = blocks_for(new_tokens);
-    std::size_t extra =
-        known && need > it->second.blocks ? need - it->second.blocks : 0;
+    std::size_t extra = known && need > a->blocks ? need - a->blocks : 0;
     bool fits = extra <= free_blocks();
     if (audit_) {
         audit_->on_kv_grow(*audit_ledger_, id, new_tokens, need,
@@ -68,49 +86,61 @@ BlockManager::grow(ReqId id, std::size_t new_tokens)
     if (!fits)
         return false;
     used_blocks_ += extra;
-    total_tokens_ += new_tokens - it->second.tokens;
-    it->second.tokens = new_tokens;
-    it->second.blocks = need;
+    total_tokens_ += new_tokens - a->tokens;
+    a->tokens = new_tokens;
+    a->blocks = need;
     return true;
+}
+
+std::optional<KvHandle>
+BlockManager::find(ReqId id) const
+{
+    auto it = index_.find(id);
+    if (it == index_.end())
+        return std::nullopt;
+    return KvHandle{it->second};
 }
 
 void
 BlockManager::release(ReqId id)
 {
-    auto it = per_req_.find(id);
-    bool known = it != per_req_.end();
+    auto it = index_.find(id);
+    bool known = it != index_.end();
     if (audit_) {
         audit_->on_kv_release(*audit_ledger_, id,
-                              known ? it->second.blocks : 0, known,
+                              known ? slab_[it->second].blocks : 0, known,
                               used_blocks_);
     }
     if (!known)
         return;
-    used_blocks_ -= it->second.blocks;
-    total_tokens_ -= it->second.tokens;
-    per_req_.erase(it);
+    Alloc &a = slab_[it->second];
+    used_blocks_ -= a.blocks;
+    total_tokens_ -= a.tokens;
+    a.live = false;
+    free_slots_.push_back(it->second);
+    index_.erase(it);
 }
 
 std::size_t
 BlockManager::tokens_of(ReqId id) const
 {
-    auto it = per_req_.find(id);
-    return it == per_req_.end() ? 0 : it->second.tokens;
+    const Alloc *a = lookup(id);
+    return a ? a->tokens : 0;
 }
 
 std::size_t
 BlockManager::blocks_of(ReqId id) const
 {
-    auto it = per_req_.find(id);
-    return it == per_req_.end() ? 0 : it->second.blocks;
+    const Alloc *a = lookup(id);
+    return a ? a->blocks : 0;
 }
 
 std::vector<ReqId>
 BlockManager::holders() const
 {
     std::vector<ReqId> out;
-    out.reserve(per_req_.size());
-    for (const auto &[id, alloc] : per_req_)
+    out.reserve(index_.size());
+    for (const auto &[id, slot] : index_)
         out.push_back(id);
     std::sort(out.begin(), out.end());
     return out;

@@ -11,6 +11,8 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <limits>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -27,9 +29,24 @@ namespace windserve::kvcache {
 using ReqId = std::uint64_t;
 
 /**
+ * Dense slot of one allocation, returned by BlockManager::allocate.
+ * It is a hint, not a capability: grow() checks it against the owning
+ * id and falls back to the by-id lookup when it is stale (released,
+ * or its slot reused by another request). The default handle is never
+ * valid.
+ */
+struct KvHandle {
+    std::uint32_t slot = std::numeric_limits<std::uint32_t>::max();
+};
+
+/**
  * Tracks block ownership per request. Blocks are fungible (the simulator
  * does not model physical block indices), so the manager maintains counts
  * and invariants rather than page tables.
+ *
+ * Allocations live in a slab of reusable slots. The hot per-step grow()
+ * indexes the slab through a KvHandle; the id -> slot index is touched
+ * only by allocate, release and the by-id queries.
  */
 class BlockManager
 {
@@ -53,17 +70,29 @@ class BlockManager
 
     /**
      * Allocate the KV footprint of a request with @p tokens tokens.
-     * @return false (no change) if capacity is insufficient.
-     * The request must not already hold an allocation.
+     * @return the allocation's handle, or nullopt (no change) if
+     * capacity is insufficient. The request must not already hold an
+     * allocation.
      */
-    bool allocate(ReqId id, std::size_t tokens);
+    std::optional<KvHandle> allocate(ReqId id, std::size_t tokens);
 
     /**
-     * Grow a request's footprint to @p new_tokens total tokens
-     * (new_tokens >= current). @return false if a needed new block could
-     * not be allocated; the existing allocation is untouched.
+     * Grow request @p id 's footprint to @p new_tokens total tokens
+     * (new_tokens >= current). @p h locates the allocation in O(1); a
+     * stale handle falls back to the by-id lookup, so an unknown id
+     * still throws. @return false if a needed new block could not be
+     * allocated; the existing allocation is untouched.
      */
-    bool grow(ReqId id, std::size_t new_tokens);
+    bool grow(KvHandle h, ReqId id, std::size_t new_tokens);
+
+    /** grow() through the by-id lookup. */
+    bool grow(ReqId id, std::size_t new_tokens)
+    {
+        return grow(KvHandle{}, id, new_tokens);
+    }
+
+    /** Handle of @p id 's allocation, or nullopt if it holds none. */
+    std::optional<KvHandle> find(ReqId id) const;
 
     /** Release all blocks of a request. No-op for unknown ids. */
     void release(ReqId id);
@@ -74,10 +103,10 @@ class BlockManager
     /** Blocks currently held by a request (0 if none). */
     std::size_t blocks_of(ReqId id) const;
 
-    bool holds(ReqId id) const { return per_req_.count(id) > 0; }
+    bool holds(ReqId id) const { return index_.count(id) > 0; }
 
     /** Number of requests holding blocks. */
-    std::size_t num_holders() const { return per_req_.size(); }
+    std::size_t num_holders() const { return index_.size(); }
 
     /** Ids of all holders, sorted (crash cleanup iterates these). */
     std::vector<ReqId> holders() const;
@@ -100,15 +129,26 @@ class BlockManager
 
   private:
     struct Alloc {
+        ReqId id;
+        bool live;
         std::size_t tokens;
         std::size_t blocks;
     };
+
+    /** The live allocation of @p id, or nullptr. */
+    Alloc *lookup(ReqId id);
+    const Alloc *lookup(ReqId id) const
+    {
+        return const_cast<BlockManager *>(this)->lookup(id);
+    }
 
     std::size_t total_blocks_;
     std::size_t block_size_;
     std::size_t used_blocks_ = 0;
     std::size_t total_tokens_ = 0;
-    std::unordered_map<ReqId, Alloc> per_req_;
+    std::vector<Alloc> slab_;
+    std::vector<std::uint32_t> free_slots_;
+    std::unordered_map<ReqId, std::uint32_t> index_; ///< id -> slab slot
     audit::SimAuditor *audit_ = nullptr;
     audit::KvLedger *audit_ledger_ = nullptr;
 };

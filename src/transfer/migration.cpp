@@ -214,7 +214,7 @@ MigrationManager::complete(workload::RequestId id)
     if (target_.blocks().holds(id)) {
         ok = target_.blocks().grow(id, ctx);
     } else {
-        ok = target_.blocks().allocate(id, ctx);
+        ok = target_.blocks().allocate(id, ctx).has_value();
     }
     if (!ok) {
         // Target filled up meanwhile: abort, resume at the source.

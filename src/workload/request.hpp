@@ -46,6 +46,9 @@ struct Request {
     double arrival_time = 0.0;
 
     RequestState state = RequestState::Created;
+    /** Id of the engine::DecodeGroup holding this request, 0 for none.
+     *  Written only by DecodeGroup (it fills the padding after state). */
+    std::uint32_t decode_group = 0;
 
     // --- progress ---
     std::size_t generated = 0;     ///< decode tokens emitted so far

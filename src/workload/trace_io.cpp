@@ -42,6 +42,26 @@ is_header_or_comment(const std::string &line)
                    .ec != std::errc{};
 }
 
+/** @p s with every byte outside printable ASCII written as \xHH, so
+ *  an error message quoting it is never cut short by a NUL. */
+std::string
+printable(std::string_view s)
+{
+    static const char kHex[] = "0123456789abcdef";
+    std::string out;
+    for (char c : s) {
+        unsigned char u = static_cast<unsigned char>(c);
+        if (u >= 0x20 && u < 0x7f) {
+            out += c;
+        } else {
+            out += "\\x";
+            out += kHex[u >> 4];
+            out += kHex[u & 0xf];
+        }
+    }
+    return out;
+}
+
 [[noreturn]] void
 bad_row(const std::string &what, std::size_t lineno)
 {
@@ -59,7 +79,7 @@ parse_field(std::string_view tok, const char *what, std::size_t lineno)
     T v{};
     auto [end, ec] = std::from_chars(tok.data(), tok.data() + tok.size(), v);
     if (ec != std::errc{} || end != tok.data() + tok.size())
-        bad_row(std::string("bad ") + what + " '" + std::string(tok) + "'",
+        bad_row(std::string("bad ") + what + " '" + printable(tok) + "'",
                 lineno);
     return v;
 }

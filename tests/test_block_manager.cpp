@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <unordered_map>
+#include <vector>
 
 #include "kvcache/block_manager.hpp"
 #include "simcore/rng.hpp"
@@ -128,12 +129,93 @@ TEST(BlockManager, TotalTokensTracked)
     EXPECT_EQ(bm.total_tokens(), 60u);
 }
 
-/** Property: random alloc/grow/release sequence keeps invariants. */
+TEST(BlockManagerHandle, GrowThroughHandle)
+{
+    kv::BlockManager bm(10, 16);
+    auto h = bm.allocate(1, 16);
+    ASSERT_TRUE(h);
+    EXPECT_EQ(bm.find(1)->slot, h->slot);
+    EXPECT_TRUE(bm.grow(*h, 1, 17));
+    EXPECT_EQ(bm.tokens_of(1), 17u);
+    EXPECT_EQ(bm.used_blocks(), 2u);
+    EXPECT_FALSE(bm.find(2));
+}
+
+TEST(BlockManagerHandle, GrowThroughFreedHandleThrows)
+{
+    kv::BlockManager bm(10, 16);
+    auto h = bm.allocate(1, 16);
+    ASSERT_TRUE(h);
+    bm.release(1);
+    EXPECT_THROW(bm.grow(*h, 1, 20), std::logic_error);
+    EXPECT_EQ(bm.used_blocks(), 0u);
+}
+
+TEST(BlockManagerHandle, GrowThroughHandleReusedByAnotherIdThrows)
+{
+    kv::BlockManager bm(10, 16);
+    auto old = bm.allocate(1, 16);
+    ASSERT_TRUE(old);
+    bm.release(1);
+    auto now = bm.allocate(2, 16);
+    ASSERT_TRUE(now);
+    ASSERT_EQ(now->slot, old->slot); // the freed slot is reused
+    // The slot belongs to request 2 now: growing request 1 through it
+    // is an unknown id, exactly as on the by-id path.
+    EXPECT_THROW(bm.grow(*old, 1, 20), std::logic_error);
+    EXPECT_EQ(bm.tokens_of(2), 16u);
+    EXPECT_EQ(bm.used_blocks(), 1u);
+}
+
+TEST(BlockManagerHandle, StaleHandleOfHeldIdFallsBackToId)
+{
+    kv::BlockManager bm(10, 16);
+    auto old = bm.allocate(1, 16);
+    ASSERT_TRUE(old);
+    bm.release(1);
+    ASSERT_TRUE(bm.allocate(2, 16)); // takes request 1's old slot
+    ASSERT_TRUE(bm.allocate(1, 16)); // request 1 moves to a new slot
+    EXPECT_TRUE(bm.grow(*old, 1, 17));
+    EXPECT_EQ(bm.tokens_of(1), 17u);
+    EXPECT_EQ(bm.tokens_of(2), 16u);
+    EXPECT_TRUE(bm.grow(kv::KvHandle{}, 2, 33)); // default handle: by id
+    EXPECT_EQ(bm.tokens_of(2), 33u);
+}
+
+TEST(BlockManagerHandle, HandlesSurviveReleaseAndReuseOfOtherSlots)
+{
+    kv::BlockManager bm(100, 16);
+    auto h1 = bm.allocate(1, 10);
+    auto h2 = bm.allocate(2, 20);
+    auto h3 = bm.allocate(3, 30);
+    ASSERT_TRUE(h1 && h2 && h3);
+    bm.release(2);
+    auto h4 = bm.allocate(4, 40);
+    ASSERT_TRUE(h4);
+    EXPECT_EQ(h4->slot, h2->slot);
+    EXPECT_TRUE(bm.grow(*h1, 1, 50));
+    EXPECT_TRUE(bm.grow(*h3, 3, 60));
+    EXPECT_TRUE(bm.grow(*h4, 4, 70));
+    EXPECT_EQ(bm.tokens_of(1), 50u);
+    EXPECT_EQ(bm.tokens_of(3), 60u);
+    EXPECT_EQ(bm.tokens_of(4), 70u);
+    EXPECT_EQ(bm.find(1)->slot, h1->slot);
+    EXPECT_EQ(bm.find(3)->slot, h3->slot);
+    EXPECT_EQ(bm.total_tokens(), 180u);
+    EXPECT_EQ(bm.holders(), (std::vector<kv::ReqId>{1, 3, 4}));
+}
+
+/** Property: random alloc/grow/release sequence keeps invariants.
+ *  Grows alternate between the allocation's handle and the id. */
 TEST(BlockManagerProperty, RandomOpsPreserveInvariants)
 {
     windserve::sim::Rng rng(77);
     kv::BlockManager bm(512, 16);
-    std::unordered_map<kv::ReqId, std::size_t> shadow; // id -> tokens
+    struct Held {
+        std::size_t tokens;
+        kv::KvHandle handle;
+    };
+    std::unordered_map<kv::ReqId, Held> shadow;
     kv::ReqId next_id = 0;
 
     for (int step = 0; step < 20000; ++step) {
@@ -142,17 +224,20 @@ TEST(BlockManagerProperty, RandomOpsPreserveInvariants)
             std::size_t tokens =
                 static_cast<std::size_t>(rng.uniform_int(1, 400));
             kv::ReqId id = next_id++;
-            bool ok = bm.allocate(id, tokens);
-            if (ok)
-                shadow[id] = tokens;
+            if (auto h = bm.allocate(id, tokens))
+                shadow[id] = Held{tokens, *h};
         } else if (op < 0.75 && !shadow.empty()) {
             auto it = shadow.begin();
             std::advance(it, rng.uniform_int(
                                  0, static_cast<long>(shadow.size()) - 1));
             std::size_t extra =
                 static_cast<std::size_t>(rng.uniform_int(1, 50));
-            if (bm.grow(it->first, it->second + extra))
-                it->second += extra;
+            std::size_t to = it->second.tokens + extra;
+            bool ok = rng.uniform() < 0.5
+                          ? bm.grow(it->second.handle, it->first, to)
+                          : bm.grow(it->first, to);
+            if (ok)
+                it->second.tokens = to;
         } else if (!shadow.empty()) {
             auto it = shadow.begin();
             std::advance(it, rng.uniform_int(
@@ -164,11 +249,12 @@ TEST(BlockManagerProperty, RandomOpsPreserveInvariants)
         // Invariants after every step.
         ASSERT_EQ(bm.num_holders(), shadow.size());
         std::size_t blocks = 0, tokens = 0;
-        for (const auto &[id, t] : shadow) {
-            ASSERT_EQ(bm.tokens_of(id), t);
-            ASSERT_EQ(bm.blocks_of(id), bm.blocks_for(t));
-            blocks += bm.blocks_for(t);
-            tokens += t;
+        for (const auto &[id, held] : shadow) {
+            ASSERT_EQ(bm.tokens_of(id), held.tokens);
+            ASSERT_EQ(bm.blocks_of(id), bm.blocks_for(held.tokens));
+            ASSERT_EQ(bm.find(id)->slot, held.handle.slot);
+            blocks += bm.blocks_for(held.tokens);
+            tokens += held.tokens;
         }
         ASSERT_EQ(bm.used_blocks(), blocks);
         ASSERT_EQ(bm.total_tokens(), tokens);

@@ -422,6 +422,34 @@ TEST(ClusterSystem, CrossPodOffloadTriggersUnderMemoryPressure)
     EXPECT_EQ(run.metrics.num_finished + run.metrics.num_unfinished, 300u);
 }
 
+TEST(ClusterSystem, BalancerDrainsAfterFaultFreeOffloadRun)
+{
+    // Every admission, cross-pod re-homing and retirement goes through
+    // the dense home table: once all requests finish, every pod's
+    // outstanding load is back to zero.
+    hs::ExperimentConfig ec;
+    ec.system = hs::SystemKind::WindServe;
+    ec.num_nodes = 4;
+    ec.pods_per_node = 2;
+    ec.per_gpu_rate = 2.5;
+    ec.num_requests = 400;
+    ec.seed = 77;
+    ec.kv_capacity_tokens_override = 2600;
+    auto system = hs::make_system(ec);
+    auto *cs = dynamic_cast<core::ClusterServeSystem *>(system.get());
+    ASSERT_NE(cs, nullptr);
+    ASSERT_EQ(cs->num_pods(), 8u);
+    ASSERT_TRUE(cs->config().allow_cross_pod);
+    engine::RunOptions opts;
+    opts.horizon = ec.horizon;
+    auto run = system->run(hs::make_trace(ec), opts);
+    ASSERT_EQ(run.metrics.num_finished, 400u);
+    EXPECT_GT(cs->cross_offloads(), 0u);
+    EXPECT_EQ(cs->balancer().routed(), 400u);
+    for (std::size_t k = 0; k < cs->num_pods(); ++k)
+        EXPECT_EQ(cs->balancer().load(k), 0.0) << "pod " << k;
+}
+
 // ---------------------------------------------------------------------
 // Golden snapshot of a 2-node run
 // ---------------------------------------------------------------------

@@ -5,6 +5,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 
 #include "engine/instance.hpp"
@@ -488,4 +489,110 @@ TEST(InstanceSingleOutputToken, NoDecodePhaseNeeded)
     // the request. No decode iterations happen here.
     EXPECT_EQ(f.prefilled.size(), 1u);
     EXPECT_EQ(f.inst->decode_iterations(), 0u);
+}
+
+// ---------------------------------------------------------------------
+// decode-group membership stamped on the request
+// ---------------------------------------------------------------------
+
+TEST(InstanceGroupId, StampedWhileDecodingClearedAtFinish)
+{
+    Fixture f(decode_cfg());
+    auto r = make_req(1, 512, 11);
+    r.generated = 1;
+    bool stamped = false;
+    f.inst->callbacks.on_step = [&] {
+        if (r.finished())
+            return;
+        stamped = true;
+        EXPECT_NE(r.decode_group, 0u);
+        EXPECT_TRUE(f.inst->is_decoding(&r));
+    };
+    f.s.schedule(0.0, [&] { f.inst->enqueue_decode(&r, false); });
+    f.s.run();
+    ASSERT_TRUE(r.finished());
+    EXPECT_TRUE(stamped);
+    EXPECT_EQ(r.decode_group, 0u);
+    EXPECT_FALSE(f.inst->is_decoding(&r));
+}
+
+TEST(InstanceGroupId, SwapOutClearsGroupId)
+{
+    Fixture f(decode_cfg(), {2, 1}, /*kv_override=*/512);
+    auto a = make_req(1, 200, 150);
+    a.generated = 1;
+    auto b = make_req(2, 200, 150, /*arrival=*/1.0);
+    b.generated = 1;
+    bool saw_swapped = false;
+    f.inst->callbacks.on_step = [&] {
+        for (const wl::Request *r : {&a, &b}) {
+            EXPECT_EQ(r->decode_group != 0, f.inst->is_decoding(r));
+            if (r->state == wl::RequestState::SwappedOut) {
+                saw_swapped = true;
+                EXPECT_EQ(r->decode_group, 0u);
+            }
+        }
+    };
+    f.s.schedule(0.0, [&] {
+        f.inst->enqueue_decode(&a, false);
+        f.inst->enqueue_decode(&b, false);
+    });
+    f.s.run();
+    EXPECT_TRUE(saw_swapped);
+    EXPECT_GE(b.swap_outs, 1u);
+    EXPECT_EQ(f.finished.size(), 2u);
+    EXPECT_EQ(a.decode_group, 0u);
+    EXPECT_EQ(b.decode_group, 0u);
+}
+
+TEST(InstanceGroupId, CrashClearsGroupIdAndAllowsReadmission)
+{
+    Fixture f(decode_cfg());
+    auto r = make_req(1, 512, 40);
+    r.generated = 1;
+    f.s.schedule(0.0, [&] { f.inst->enqueue_decode(&r, false); });
+    f.s.schedule(0.1, [&] {
+        ASSERT_NE(r.decode_group, 0u);
+        auto victims = f.inst->crash();
+        EXPECT_NE(std::find(victims.begin(), victims.end(), &r),
+                  victims.end());
+        EXPECT_EQ(r.decode_group, 0u);
+        EXPECT_FALSE(f.inst->is_decoding(&r));
+        for (const auto &grp : f.inst->groups()) {
+            EXPECT_EQ(grp.size(), 0u);
+            EXPECT_TRUE(grp.handles.empty());
+        }
+    });
+    f.s.schedule(0.2, [&] {
+        f.inst->repair();
+        r.generated = 1;
+        f.inst->enqueue_decode(&r, false); // re-admission must not throw
+    });
+    f.s.run();
+    EXPECT_TRUE(r.finished());
+    EXPECT_EQ(r.decode_group, 0u);
+}
+
+TEST(InstanceGroupId, OtherInstanceGroupWithSameIndexDoesNotClaimRequest)
+{
+    // The migration-target hazard: a request decoding in group 0 of one
+    // instance must not look resident in group 0 of another.
+    Fixture src(decode_cfg());
+    Fixture dst(prefill_cfg());
+    auto r = make_req(1, 512, 1000);
+    r.generated = 1;
+    src.s.schedule(0.0, [&] { src.inst->enqueue_decode(&r, false); });
+    src.s.run_until(0.1);
+    ASSERT_TRUE(src.inst->is_decoding(&r));
+    ASSERT_EQ(src.inst->groups().size(), dst.inst->groups().size());
+    for (std::size_t g = 0; g < dst.inst->groups().size(); ++g)
+        EXPECT_FALSE(dst.inst->groups()[g].contains(&r));
+    EXPECT_FALSE(dst.inst->is_decoding(&r));
+}
+
+TEST(RequestLayout, GroupIdFillsPaddingAfterState)
+{
+    if constexpr (sizeof(void *) == 8) {
+        EXPECT_EQ(sizeof(wl::Request), 144u);
+    }
 }

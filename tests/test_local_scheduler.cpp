@@ -256,11 +256,91 @@ TEST(DecodeGroup, SumContextAndMembership)
     auto reqs = make_requests({100, 200});
     reqs[0].generated = 5;
     eng::DecodeGroup g;
-    g.members.push_back(&reqs[0]);
-    g.members.push_back(&reqs[1]);
+    g.add(&reqs[0], kv::KvHandle{});
+    g.add(&reqs[1], kv::KvHandle{});
     EXPECT_EQ(g.sum_context(), 305u);
     EXPECT_TRUE(g.contains(&reqs[0]));
     EXPECT_TRUE(g.remove(&reqs[0]));
     EXPECT_FALSE(g.remove(&reqs[0]));
     EXPECT_EQ(g.size(), 1u);
+}
+
+TEST(DecodeGroup, MembershipIsStampedOnTheRequest)
+{
+    auto reqs = make_requests({100, 200});
+    eng::DecodeGroup a, b;
+    EXPECT_NE(a.id(), 0u);
+    EXPECT_NE(a.id(), b.id());
+    a.add(&reqs[0], kv::KvHandle{7});
+    EXPECT_EQ(reqs[0].decode_group, a.id());
+    EXPECT_FALSE(b.contains(&reqs[0]));
+    EXPECT_FALSE(b.remove(&reqs[0])); // another group: rejected, kept
+    EXPECT_TRUE(a.contains(&reqs[0]));
+    ASSERT_EQ(a.handles.size(), 1u);
+    EXPECT_EQ(a.handles[0].slot, 7u);
+    EXPECT_TRUE(a.remove(&reqs[0]));
+    EXPECT_EQ(reqs[0].decode_group, 0u);
+    EXPECT_TRUE(a.handles.empty());
+}
+
+TEST(DecodeGroup, AddThrowsOnSecondGroup)
+{
+    auto reqs = make_requests({100});
+    eng::DecodeGroup a, b;
+    a.add(&reqs[0], kv::KvHandle{});
+    EXPECT_THROW(b.add(&reqs[0], kv::KvHandle{}), std::logic_error);
+    EXPECT_THROW(a.add(&reqs[0], kv::KvHandle{}), std::logic_error);
+    EXPECT_EQ(a.size(), 1u);
+    EXPECT_EQ(b.size(), 0u);
+    EXPECT_EQ(reqs[0].decode_group, a.id());
+}
+
+TEST(DecodeGroup, RemoveKeepsHandlesAlignedWithMembers)
+{
+    auto reqs = make_requests({10, 20, 30});
+    eng::DecodeGroup g;
+    for (std::uint32_t i = 0; i < 3; ++i)
+        g.add(&reqs[i], kv::KvHandle{i});
+    EXPECT_TRUE(g.remove(&reqs[1]));
+    ASSERT_EQ(g.members.size(), 2u);
+    EXPECT_EQ(g.members[0], &reqs[0]);
+    EXPECT_EQ(g.members[1], &reqs[2]);
+    EXPECT_EQ(g.handles[0].slot, 0u);
+    EXPECT_EQ(g.handles[1].slot, 2u);
+}
+
+TEST(DecodeGroup, ClearResetsMembersSnapshotAndStamps)
+{
+    auto reqs = make_requests({10, 20});
+    eng::DecodeGroup g;
+    g.add(&reqs[0], kv::KvHandle{});
+    g.add(&reqs[1], kv::KvHandle{});
+    g.busy = true;
+    g.iteration_members = g.members;
+    g.iteration_handles = g.handles;
+    g.clear();
+    EXPECT_EQ(g.size(), 0u);
+    EXPECT_TRUE(g.handles.empty());
+    EXPECT_TRUE(g.iteration_members.empty());
+    EXPECT_TRUE(g.iteration_handles.empty());
+    EXPECT_FALSE(g.busy);
+    EXPECT_EQ(reqs[0].decode_group, 0u);
+    EXPECT_EQ(reqs[1].decode_group, 0u);
+}
+
+TEST(DecodeAdmission, AdmittedRequestsCarryTheirKvHandle)
+{
+    auto reqs = make_requests({64, 32});
+    auto q = queue_of(reqs);
+    std::vector<eng::DecodeGroup> groups(1);
+    kv::BlockManager bm(100, 16);
+    auto resident = bm.allocate(1, 32); // request 1 already holds its KV
+    ASSERT_TRUE(resident);
+    auto admitted = eng::admit_decodes(q, groups, 8, bm);
+    ASSERT_EQ(admitted.size(), 2u);
+    ASSERT_EQ(groups[0].handles.size(), 2u);
+    EXPECT_EQ(groups[0].handles[0].slot, bm.find(0)->slot);
+    EXPECT_EQ(groups[0].handles[1].slot, resident->slot);
+    EXPECT_EQ(reqs[0].decode_group, groups[0].id());
+    EXPECT_EQ(reqs[1].decode_group, groups[0].id());
 }
