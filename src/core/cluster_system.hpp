@@ -140,11 +140,6 @@ class ClusterServeSystem : public engine::ServingSystem
     // introspection
     std::size_t num_pods() const { return pods_.size(); }
     Pod &pod(std::size_t k) { return *pods_.at(k); }
-    /** Pod k's logical-process simulator (the hub for 1-pod clusters). */
-    sim::Simulator &pod_sim(std::size_t k)
-    {
-        return pod_sims_.empty() ? sim_ : *pod_sims_.at(k);
-    }
     /** The LP scheduler of the last replay (nullptr before replay and
      *  for single-pod clusters). */
     const sim::LpScheduler *lp() const { return lp_.get(); }

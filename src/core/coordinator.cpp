@@ -9,10 +9,8 @@
 
 namespace windserve::core {
 
-Coordinator::Coordinator(CoordinatorConfig cfg, Profiler &prefill_profiler,
-                         Profiler &decode_profiler)
-    : cfg_(cfg), prefill_profiler_(prefill_profiler),
-      decode_profiler_(decode_profiler)
+Coordinator::Coordinator(CoordinatorConfig cfg, Profiler &prefill_profiler)
+    : cfg_(cfg), prefill_profiler_(prefill_profiler)
 {}
 
 double

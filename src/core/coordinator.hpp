@@ -75,8 +75,7 @@ enum class DispatchDecision { PrefillInstance, DecodeInstance };
 class Coordinator
 {
   public:
-    Coordinator(CoordinatorConfig cfg, Profiler &prefill_profiler,
-                Profiler &decode_profiler);
+    Coordinator(CoordinatorConfig cfg, Profiler &prefill_profiler);
 
     /**
      * Derive the assist budget from SLOs: the largest prefill token
@@ -137,7 +136,6 @@ class Coordinator
 
     CoordinatorConfig cfg_;
     Profiler &prefill_profiler_;
-    Profiler &decode_profiler_;
     std::uint64_t dispatches_ = 0;
     std::uint64_t reschedules_ = 0;
     obs::TraceRecorder *trace_ = nullptr;

@@ -9,7 +9,6 @@ GlobalScheduler::calibrate(const model::CostModel &prefill_cost,
                            double noise_sigma)
 {
     prefill_profiler_.calibrate_offline(prefill_cost, rng, noise_sigma);
-    decode_profiler_.calibrate_offline(decode_cost, rng, noise_sigma);
     coordinator_.compute_budget(decode_cost, ttft_slo, tpot_slo);
 }
 

@@ -3,9 +3,10 @@
  * The Global Scheduler (paper §3.2) = Profiler + Coordinator.
  *
  * Monitors compute and memory usage of both instances and orchestrates
- * cross-phase jobs. Thin aggregate: the Profiler supplies completion
- * predictions, the Coordinator applies Algorithm 1 (Dynamic Prefill
- * Dispatch) and the Dynamic Rescheduling trigger.
+ * cross-phase jobs. Thin aggregate: the prefill instance's Profiler
+ * supplies Eq. (1) completion predictions, the Coordinator applies
+ * Algorithm 1 (Dynamic Prefill Dispatch) and the Dynamic Rescheduling
+ * trigger.
  */
 #pragma once
 
@@ -14,24 +15,24 @@
 
 namespace windserve::core {
 
-/** Profilers for both instances plus the coordinating policy engine. */
+/** The prefill instance's Profiler plus the coordinating policy
+ *  engine. */
 class GlobalScheduler
 {
   public:
     explicit GlobalScheduler(CoordinatorConfig cfg)
-        : coordinator_(cfg, prefill_profiler_, decode_profiler_)
+        : coordinator_(cfg, prefill_profiler_)
     {}
 
     /**
-     * Offline calibration pass over both instances' cost models and
-     * assist-budget derivation from the SLOs.
+     * Offline calibration of the prefill Profiler, and assist-budget
+     * derivation from the SLOs over the decode instance's cost model.
      */
     void calibrate(const model::CostModel &prefill_cost,
                    const model::CostModel &decode_cost, double ttft_slo,
                    double tpot_slo, sim::Rng &rng, double noise_sigma);
 
     Profiler &prefill_profiler() { return prefill_profiler_; }
-    Profiler &decode_profiler() { return decode_profiler_; }
     Coordinator &coordinator() { return coordinator_; }
     const Coordinator &coordinator() const { return coordinator_; }
 
@@ -43,7 +44,6 @@ class GlobalScheduler
 
   private:
     Profiler prefill_profiler_;
-    Profiler decode_profiler_;
     Coordinator coordinator_;
 };
 

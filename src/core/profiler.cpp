@@ -65,27 +65,6 @@ fit_quadratic(const std::vector<double> &x, const std::vector<double> &y)
     return PrefillFit{sol[0], sol[1], sol[2]};
 }
 
-DecodeFit
-fit_linear(const std::vector<double> &x, const std::vector<double> &y)
-{
-    if (x.size() != y.size() || x.size() < 2)
-        throw std::invalid_argument("fit_linear: need >= 2 samples");
-    double sx = 0, sy = 0, sxx = 0, sxy = 0, n = 0;
-    for (std::size_t i = 0; i < x.size(); ++i) {
-        sx += x[i];
-        sy += y[i];
-        sxx += x[i] * x[i];
-        sxy += x[i] * y[i];
-        n += 1.0;
-    }
-    double det = n * sxx - sx * sx;
-    if (std::abs(det) < 1e-30)
-        throw std::invalid_argument("fit_linear: degenerate samples");
-    double a = (n * sxy - sx * sy) / det;
-    double c = (sy - a * sx) / n;
-    return DecodeFit{a, c};
-}
-
 void
 Profiler::calibrate_offline(const model::CostModel &cost, sim::Rng &rng,
                             double noise_sigma,
@@ -101,18 +80,7 @@ Profiler::calibrate_offline(const model::CostModel &cost, sim::Rng &rng,
             py_.push_back(cost.prefill_time(n) * noise);
         }
     }
-    static const double probes_l[] = {1024,  4096,  8192,  16384,
-                                      32768, 65536, 131072};
-    for (double l : probes_l) {
-        for (std::size_t s = 0; s < samples_per_probe; ++s) {
-            double noise =
-                noise_sigma > 0 ? rng.lognormal(0.0, noise_sigma) : 1.0;
-            dx_.push_back(l);
-            dy_.push_back(cost.decode_time(16.0, l) * noise);
-        }
-    }
     prefill_fit_ = fit_quadratic(px_, py_);
-    decode_fit_ = fit_linear(dx_, dy_);
     fitted_ = true;
 }
 
@@ -125,41 +93,14 @@ Profiler::observe_prefill(double n, double duration)
     }
     px_.push_back(n);
     py_.push_back(duration);
-    maybe_refit();
-}
-
-void
-Profiler::observe_decode(double /*batch*/, double sum_context,
-                         double duration)
-{
-    if (dx_.size() >= kMaxSamples) {
-        dx_.erase(dx_.begin(), dx_.begin() + kMaxSamples / 2);
-        dy_.erase(dy_.begin(), dy_.begin() + kMaxSamples / 2);
-    }
-    dx_.push_back(sum_context);
-    dy_.push_back(duration);
-    maybe_refit();
-}
-
-void
-Profiler::maybe_refit()
-{
-    if (++since_refit_ < refit_interval_)
+    if (++since_refit_ < kRefitInterval)
         return;
     since_refit_ = 0;
-    if (px_.size() >= 3) {
-        try {
-            prefill_fit_ = fit_quadratic(px_, py_);
-            fitted_ = true;
-        } catch (const std::invalid_argument &) {
-            // degenerate sample set (all equal N): keep the old fit
-        }
-    }
-    if (dx_.size() >= 2) {
-        try {
-            decode_fit_ = fit_linear(dx_, dy_);
-        } catch (const std::invalid_argument &) {
-        }
+    try {
+        prefill_fit_ = fit_quadratic(px_, py_);
+        fitted_ = true;
+    } catch (const std::invalid_argument &) {
+        // degenerate sample set (all equal N): keep the old fit
     }
 }
 
@@ -169,14 +110,6 @@ Profiler::predict_prefill(double n) const
     if (!fitted_)
         throw std::logic_error("Profiler: not calibrated");
     return std::max(0.0, prefill_fit_.predict(n));
-}
-
-double
-Profiler::predict_decode(double sum_context) const
-{
-    if (!fitted_)
-        throw std::logic_error("Profiler: not calibrated");
-    return std::max(0.0, decode_fit_.predict(sum_context));
 }
 
 double

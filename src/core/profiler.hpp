@@ -2,17 +2,19 @@
  * @file
  * The Global Scheduler's Profiler (paper §3.2.1).
  *
- * Characterises each instance's compute capability by fitting the
- * paper's Eq. (1)/(2):
+ * Characterises the prefill instance's compute capability by fitting
+ * the paper's Eq. (1):
  *
- *     T_prefill(N)      = a_p N + b_p N^2 + c_p
- *     T_decode(sumL)    = a_d sumL + c_d
+ *     T_prefill(N) = a_p N + b_p N^2 + c_p
  *
- * via least squares over observed (input, duration) samples. The paper
- * obtains the parameters "by profiling and quadratic regression before
- * runtime"; calibrate_offline() reproduces that step by sweeping probe
- * sizes through the instance cost model with execution noise, and the
- * fit keeps refining online from real iteration observations.
+ * via least squares over observed (tokens, duration) samples. The
+ * paper obtains the parameters "by profiling and quadratic regression
+ * before runtime"; calibrate_offline() reproduces that step by sweeping
+ * probe sizes through the instance cost model with execution noise, and
+ * the fit keeps refining online from real prefill passes. Algorithm 1
+ * reads the fit through predict_ttft(). Eq. (2), the decode iteration
+ * time, needs no regression here: the Coordinator's assist budget reads
+ * it straight from the ground-truth cost model.
  */
 #pragma once
 
@@ -30,12 +32,6 @@ struct PrefillFit {
     double predict(double n) const { return a * n + b * n * n + c; }
 };
 
-/** Linear fit of Eq. (2). */
-struct DecodeFit {
-    double a = 0.0, c = 0.0;
-    double predict(double sum_l) const { return a * sum_l + c; }
-};
-
 /**
  * Least-squares fit of y = a x + b x^2 + c over samples.
  * Requires at least 3 samples with distinct x.
@@ -43,11 +39,7 @@ struct DecodeFit {
 PrefillFit fit_quadratic(const std::vector<double> &x,
                          const std::vector<double> &y);
 
-/** Least-squares fit of y = a x + c. Requires >= 2 distinct samples. */
-DecodeFit fit_linear(const std::vector<double> &x,
-                     const std::vector<double> &y);
-
-/** Per-instance performance model maintained by the Global Scheduler. */
+/** Prefill performance model maintained by the Global Scheduler. */
 class Profiler
 {
   public:
@@ -55,7 +47,7 @@ class Profiler
 
     /**
      * Offline profiling pass: probe the instance at a grid of prefill
-     * sizes / context sums through its (noisy) cost model and fit.
+     * sizes through its (noisy) cost model and fit.
      */
     void calibrate_offline(const model::CostModel &cost, sim::Rng &rng,
                            double noise_sigma = 0.03,
@@ -64,14 +56,8 @@ class Profiler
     /** Online observation of a pure prefill pass. */
     void observe_prefill(double n_tokens, double duration);
 
-    /** Online observation of a pure decode iteration. */
-    void observe_decode(double batch, double sum_context, double duration);
-
     /** Predicted prefill latency for @p n_tokens (Eq. 1). */
     double predict_prefill(double n_tokens) const;
-
-    /** Predicted decode iteration latency (Eq. 2). */
-    double predict_decode(double sum_context) const;
 
     /**
      * Algorithm 1 line 1: predicted completion time of a new request's
@@ -81,27 +67,18 @@ class Profiler
     double predict_ttft(double queued_tokens, double new_tokens,
                         double inflight_remaining) const;
 
-    const PrefillFit &prefill_fit() const { return prefill_fit_; }
-    const DecodeFit &decode_fit() const { return decode_fit_; }
-
     std::size_t prefill_samples() const { return px_.size(); }
-    std::size_t decode_samples() const { return dx_.size(); }
-
-    /** Refit from all accumulated samples every this many observations. */
-    void set_refit_interval(std::size_t n) { refit_interval_ = n; }
 
   private:
-    void maybe_refit();
-
-    std::vector<double> px_, py_; ///< prefill samples (N, T)
-    std::vector<double> dx_, dy_; ///< decode samples (sumL, T)
-    PrefillFit prefill_fit_;
-    DecodeFit decode_fit_;
-    bool fitted_ = false;
-    std::size_t refit_interval_ = 64;
-    std::size_t since_refit_ = 0;
+    /** Refit from all accumulated samples every this many observations. */
+    static constexpr std::size_t kRefitInterval = 64;
     /** Cap sample memory; oldest samples are discarded. */
     static constexpr std::size_t kMaxSamples = 4096;
+
+    std::vector<double> px_, py_; ///< prefill samples (N, T)
+    PrefillFit prefill_fit_;
+    bool fitted_ = false;
+    std::size_t since_refit_ = 0;
 };
 
 } // namespace windserve::core

@@ -21,7 +21,7 @@ namespace {
 
 struct CoordFixture {
     sim::Simulator s;
-    core::Profiler prefill_prof, decode_prof;
+    core::Profiler prefill_prof;
     std::unique_ptr<eng::Instance> prefill;
     std::unique_ptr<eng::Instance> decode;
     std::unique_ptr<core::Coordinator> coord;
@@ -48,9 +48,7 @@ struct CoordFixture {
             hw::Link{hw::LinkType::HostPCIe, 20e9, 1e-6});
         sim::Rng rng(3);
         prefill_prof.calibrate_offline(pcost, rng, 0.0);
-        decode_prof.calibrate_offline(dcost, rng, 0.0);
-        coord = std::make_unique<core::Coordinator>(cfg, prefill_prof,
-                                                    decode_prof);
+        coord = std::make_unique<core::Coordinator>(cfg, prefill_prof);
         coord->compute_budget(dcost, 0.25, 0.10);
     }
 
@@ -95,7 +93,7 @@ TEST(CoordinatorBudget, ImpossibleTpotDisablesDispatch)
     md::CostModel dcost(md::ModelSpec::opt_13b(),
                         hw::GpuSpec::a800_80g(), {2, 1});
     core::CoordinatorConfig cfg;
-    core::Coordinator c(cfg, f.prefill_prof, f.decode_prof);
+    core::Coordinator c(cfg, f.prefill_prof);
     // TPOT SLO of 1 us cannot be met even undisturbed.
     c.compute_budget(dcost, 0.25, 1e-6);
     EXPECT_EQ(c.budget_tokens(), 0u);
