@@ -120,6 +120,11 @@ class Pod
      * instance and channel names so the auditor's per-name ledgers stay
      * distinct across pods; a single-pod cluster passes "". @p index is
      * the pod's id within its cluster.
+     *
+     * @throws std::invalid_argument naming the pod (or instance) and
+     *         the field when an SLO is not finite and > 0,
+     *         dispatch_reserve_fraction is outside [0, 1], or an
+     *         instance-level field is out of range (see Instance).
      */
     Pod(sim::Simulator &sim, const WindServeConfig &cfg, PodHooks hooks,
         std::string name_prefix, std::size_t index);

@@ -1,5 +1,8 @@
 #include "engine/serving_system.hpp"
 
+#include <cmath>
+#include <stdexcept>
+
 #include "fault/fault_injector.hpp"
 #include "obs/trace_recorder.hpp"
 #include "simcore/simulator.hpp"
@@ -92,6 +95,10 @@ RunResult
 ServingSystem::run(const std::vector<workload::Request> &trace,
                    const RunOptions &opts)
 {
+    if (!std::isfinite(opts.horizon) || opts.horizon <= 0.0)
+        throw std::invalid_argument(
+            "RunOptions (" + name() + "): horizon must be finite and > 0, "
+            "got " + std::to_string(opts.horizon));
     if (!instrumented_)
         instrument(opts);
     replay(trace, opts.horizon);

@@ -128,6 +128,9 @@ class ServingSystem
      * the per-request results are moved into the returned value. The
      * attachments belong to the deployment too: a later run() keeps
      * the first run's and ignores the attachment options.
+     *
+     * @throws std::invalid_argument when opts.horizon is not finite
+     *         and > 0, before anything is attached or replayed.
      */
     RunResult run(const std::vector<workload::Request> &trace,
                   const RunOptions &opts);

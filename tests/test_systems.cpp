@@ -4,6 +4,11 @@
  */
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <limits>
+#include <stdexcept>
+#include <string>
+
 #include "baselines/distserve_system.hpp"
 #include "baselines/vllm_system.hpp"
 #include "core/windserve_system.hpp"
@@ -108,6 +113,39 @@ TEST(WindServeSystem, NoDispatchAblationNeverDispatches)
     ec.num_requests = 300;
     auto result = hs::run_experiment(ec);
     EXPECT_EQ(result.dispatches, 0u);
+}
+
+TEST(WindServeSystem, OutOfRangePodConfigNamed)
+{
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const std::pair<const char *, std::function<void(core::WindServeConfig &)>>
+        cases[] = {
+            {"ttft_slo", [](auto &c) { c.ttft_slo = 0.0; }},
+            {"ttft_slo", [=](auto &c) { c.ttft_slo = nan; }},
+            {"tpot_slo", [](auto &c) { c.tpot_slo = -0.1; }},
+            {"tpot_slo",
+             [](auto &c) {
+                 c.tpot_slo = std::numeric_limits<double>::infinity();
+             }},
+            {"dispatch_reserve_fraction",
+             [](auto &c) { c.dispatch_reserve_fraction = -0.01; }},
+            {"dispatch_reserve_fraction",
+             [](auto &c) { c.dispatch_reserve_fraction = 1.5; }},
+            {"dispatch_reserve_fraction",
+             [=](auto &c) { c.dispatch_reserve_fraction = nan; }},
+        };
+    for (const auto &[field, edit] : cases) {
+        core::WindServeConfig cfg;
+        edit(cfg);
+        std::string what = "<no std::invalid_argument>";
+        try {
+            core::WindServeSystem sys(cfg);
+        } catch (const std::invalid_argument &e) {
+            what = e.what();
+        }
+        EXPECT_NE(what.find("pod 0"), std::string::npos) << what;
+        EXPECT_NE(what.find(field), std::string::npos) << what;
+    }
 }
 
 TEST(DistServeSystem, CompletesModerateLoad)
