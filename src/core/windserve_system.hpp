@@ -3,13 +3,14 @@
  * WindServe: the complete phase-disaggregated serving system with
  * stream-based dynamic scheduling (the paper's contribution).
  *
- * Wiring (paper Fig. 4): a Global Scheduler (Profiler + Coordinator)
- * sits above a prefill instance and a decode instance, each with a FCFS
- * local scheduler and a paged KV manager. KV transfers overlap prefill
- * computation; Dynamic Prefill Dispatch sends prefills to the decode
- * instance's SBD stream under prefill overload; Dynamic Rescheduling
- * migrates long decodes back to the prefill instance (stall-free) under
- * memory pressure, with proactive KV backups shrinking migration cost.
+ * Wiring (paper Fig. 4): a Global Scheduler (the prefill instance's
+ * Eq. (1) Profiler + Coordinator) sits above a prefill instance and a
+ * decode instance, each with a FCFS local scheduler and a paged KV
+ * manager. KV transfers overlap prefill computation; Dynamic Prefill
+ * Dispatch sends prefills to the decode instance's SBD stream under
+ * prefill overload; Dynamic Rescheduling migrates long decodes back to
+ * the prefill instance (stall-free) under memory pressure, with
+ * proactive KV backups shrinking migration cost.
  *
  * That pipeline is one core::Pod. WindServeSystem is the
  * ClusterServeSystem of one node holding one pod, so a single-testbed

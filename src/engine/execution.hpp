@@ -3,10 +3,10 @@
  * Iteration-duration sampling: CostModel times plus execution jitter.
  *
  * Real iteration times vary with kernel scheduling, NCCL timing and the
- * Python control plane; the WindServe Profiler regresses over such noisy
- * observations (paper §3.2.1). ExecutionSampler injects multiplicative
- * lognormal jitter so the reproduction's Profiler faces the same
- * estimation problem the paper's does.
+ * Python control plane; the WindServe Profiler regresses Eq. (1) over
+ * such noisy prefill passes (paper §3.2.1). ExecutionSampler injects
+ * multiplicative lognormal jitter so the reproduction's Profiler faces
+ * the same estimation problem the paper's does.
  */
 #pragma once
 
