@@ -495,6 +495,28 @@ TEST(LpExports, ChaosCellsMatchGoldenDigests)
     expect_golden(got.str(), golden_path("lp_chaos_exports.txt"));
 }
 
+// The two baselines on one pod under the same chaos schedule: pins the
+// single-pair names ("distserve/prefill", "kv/p2d"), vLLM's default two
+// engines, and their fault-target and metric registration order, which
+// the 8-pod pins above cover only in their multi-replica form.
+TEST(BaselineExports, SinglePodChaosCellsMatchGoldenDigests)
+{
+    std::ostringstream got;
+    for (auto kind : {hs::SystemKind::DistServe, hs::SystemKind::Vllm}) {
+        hs::ExperimentConfig ec = chaos_cell(kind);
+        ec.num_nodes = 1;
+        ec.pods_per_node = 1;
+        auto r = hs::run_experiment(ec);
+        ASSERT_EQ(r.audit_violations, 0u) << hs::to_string(kind);
+        ASSERT_GT(r.metrics.instance_crashes, 0u) << hs::to_string(kind);
+        ASSERT_GT(r.metrics.straggler_windows, 0u) << hs::to_string(kind);
+        for (const auto &[key, value] : chaos_digests(r))
+            got << hs::to_string(kind) << "." << key << " " << value
+                << "\n";
+    }
+    expect_golden(got.str(), golden_path("baseline_pod_chaos_exports.txt"));
+}
+
 // The RunOptions path (trace + audit attachments created inside
 // run()) must preserve the engine's determinism contract: cells of a
 // fully-instrumented grid are bit-identical — down to the exported
