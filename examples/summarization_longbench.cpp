@@ -86,7 +86,7 @@ main(int argc, char **argv)
     {
         baselines::DistServeConfig ds;
         ds.model = scenario.model;
-        baselines::DistServeSystem sys(ds);
+        baselines::BaselineSystem sys(ds);
         add("DistServe", sys);
     }
 

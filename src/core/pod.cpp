@@ -31,10 +31,22 @@ validate(const WindServeConfig &cfg, std::size_t index)
             fail(std::string(name) + " must be finite and > 0, got " +
                  std::to_string(v));
     }
-    if (!(cfg.dispatch_reserve_fraction >= 0.0 &&
-          cfg.dispatch_reserve_fraction <= 1.0))
-        fail("dispatch_reserve_fraction must be in [0, 1], got " +
-             std::to_string(cfg.dispatch_reserve_fraction));
+    const CoordinatorConfig &co = cfg.coordinator;
+    if (!std::isfinite(co.thrd) || co.thrd < 0.0)
+        fail("coordinator.thrd must be finite and >= 0, got " +
+             std::to_string(co.thrd));
+    if (!(co.budget_ttft_fraction > 0.0 && co.budget_ttft_fraction <= 1.0))
+        fail("coordinator.budget_ttft_fraction must be in (0, 1], got " +
+             std::to_string(co.budget_ttft_fraction));
+    for (auto [name, v] :
+         {std::pair{"dispatch_reserve_fraction",
+                    cfg.dispatch_reserve_fraction},
+          std::pair{"coordinator.resched_occupancy_trigger",
+                    co.resched_occupancy_trigger}}) {
+        if (!(v >= 0.0 && v <= 1.0))
+            fail(std::string(name) + " must be in [0, 1], got " +
+                 std::to_string(v));
+    }
 }
 
 } // namespace

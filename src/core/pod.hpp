@@ -123,8 +123,11 @@ class Pod
      *
      * @throws std::invalid_argument naming the pod (or instance) and
      *         the field when an SLO is not finite and > 0,
-     *         dispatch_reserve_fraction is outside [0, 1], or an
-     *         instance-level field is out of range (see Instance).
+     *         dispatch_reserve_fraction or the coordinator's
+     *         resched_occupancy_trigger is outside [0, 1], its thrd is
+     *         not finite and >= 0, its budget_ttft_fraction is outside
+     *         (0, 1], or an instance-level field is out of range (see
+     *         Instance).
      */
     Pod(sim::Simulator &sim, const WindServeConfig &cfg, PodHooks hooks,
         std::string name_prefix, std::size_t index);

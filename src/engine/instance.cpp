@@ -60,17 +60,30 @@ validated(InstanceConfig cfg)
     return cfg;
 }
 
+/** The KV blocks of @p cfg 's capacity under @p cost; throws
+ *  std::invalid_argument naming the instance when not one block fits. */
+std::size_t
+kv_blocks(const InstanceConfig &cfg, const model::CostModel &cost)
+{
+    const std::size_t tokens =
+        cfg.kv_capacity_tokens_override
+            ? cfg.kv_capacity_tokens_override
+            : static_cast<std::size_t>(cost.kv_capacity_tokens());
+    if (tokens < cfg.block_size)
+        throw std::invalid_argument(
+            "InstanceConfig '" + cfg.name + "': KV capacity of " +
+            std::to_string(tokens) + " tokens holds no block of block_size " +
+            std::to_string(cfg.block_size));
+    return tokens / cfg.block_size;
+}
+
 } // namespace
 
 Instance::Instance(sim::Simulator &sim, InstanceConfig cfg,
                    model::CostModel cost, sim::Rng rng, hw::Link host_link)
     : sim_(sim), cfg_(validated(std::move(cfg))),
       sampler_(cost, std::move(rng), cfg_.exec_noise_sigma),
-      blocks_((cfg_.kv_capacity_tokens_override
-                   ? cfg_.kv_capacity_tokens_override
-                   : static_cast<std::size_t>(cost.kv_capacity_tokens())) /
-                  cfg_.block_size,
-              cfg_.block_size),
+      blocks_(kv_blocks(cfg_, cost), cfg_.block_size),
       swap_(cfg_.host_memory_bytes, cost.model().kv_bytes_per_token()),
       host_channel_(sim, host_link, cfg_.name + "/host"),
       compute_util_(sim.now()), bw_util_(sim.now()),

@@ -105,8 +105,9 @@ class Instance
      * @param rng        jitter source, forked per instance
      * @param host_link  GPU<->host path used for KV swapping
      * @throws std::invalid_argument naming the instance and the field
-     *         when a size in @p cfg is 0, or exec_noise_sigma or
-     *         host_memory_bytes is negative or not finite
+     *         when a size in @p cfg is 0, exec_noise_sigma or
+     *         host_memory_bytes is negative or not finite, or the KV
+     *         capacity holds no block of block_size tokens
      */
     Instance(sim::Simulator &sim, InstanceConfig cfg, model::CostModel cost,
              sim::Rng rng, hw::Link host_link);

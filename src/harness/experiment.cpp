@@ -112,7 +112,7 @@ make_system(const ExperimentConfig &cfg)
         ds.kv_capacity_tokens_override = cfg.kv_capacity_tokens_override;
         ds.num_replicas = num_pods_of(cfg);
         ds.seed = cfg.seed ^ 0x9e3779b97f4a7c15ULL;
-        return std::make_unique<baselines::DistServeSystem>(ds);
+        return std::make_unique<baselines::BaselineSystem>(ds);
       }
       case SystemKind::Vllm: {
         baselines::VllmConfig vc;
@@ -131,7 +131,7 @@ make_system(const ExperimentConfig &cfg)
         vc.host_memory_bytes = cfg.host_memory_bytes;
         vc.kv_capacity_tokens_override = cfg.kv_capacity_tokens_override;
         vc.seed = cfg.seed ^ 0x9e3779b97f4a7c15ULL;
-        return std::make_unique<baselines::VllmColocatedSystem>(vc);
+        return std::make_unique<baselines::BaselineSystem>(vc);
       }
     }
     throw std::logic_error("make_system: unknown system kind");
@@ -217,16 +217,10 @@ run_experiment(const ExperimentConfig &cfg)
         for (std::size_t k = 0; k < cs->num_pods(); ++k)
             result.decode_swap_outs +=
                 cs->pod(k).decode_instance().swap_out_events();
-    } else if (auto *ds = dynamic_cast<baselines::DistServeSystem *>(
+    } else if (auto *bs = dynamic_cast<baselines::BaselineSystem *>(
                    system.get())) {
-        for (std::size_t i = 0; i < ds->num_replicas(); ++i)
-            result.decode_swap_outs +=
-                ds->replica_decode(i).swap_out_events();
-    } else if (auto *vs = dynamic_cast<baselines::VllmColocatedSystem *>(
-                   system.get())) {
-        for (std::size_t i = 0; i < vs->num_engines(); ++i)
-            result.decode_swap_outs +=
-                vs->engine_instance(i).swap_out_events();
+        for (std::size_t i = 0; i < bs->num_replicas(); ++i)
+            result.decode_swap_outs += bs->decode(i).swap_out_events();
     }
     return result;
 }

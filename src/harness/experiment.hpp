@@ -9,8 +9,7 @@
 #include <optional>
 #include <string>
 
-#include "baselines/distserve_system.hpp"
-#include "baselines/vllm_system.hpp"
+#include "baselines/baseline_system.hpp"
 #include "core/cluster_system.hpp"
 #include "core/windserve_system.hpp"
 #include "fault/fault_plan.hpp"

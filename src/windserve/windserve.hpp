@@ -89,8 +89,7 @@
 #include "core/windserve_system.hpp"
 
 // baselines
-#include "baselines/distserve_system.hpp"
-#include "baselines/vllm_system.hpp"
+#include "baselines/baseline_system.hpp"
 
 // metrics
 #include "metrics/collector.hpp"

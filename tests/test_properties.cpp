@@ -148,16 +148,12 @@ TEST_P(ServingInvariants, AllKvBlocksReleasedAtEnd)
             system_.get())) {
         EXPECT_EQ(ws->prefill_instance().blocks().used_blocks(), 0u);
         EXPECT_EQ(ws->decode_instance().blocks().used_blocks(), 0u);
-    } else if (auto *ds =
-                   dynamic_cast<windserve::baselines::DistServeSystem *>(
-                       system_.get())) {
-        EXPECT_EQ(ds->prefill_instance().blocks().used_blocks(), 0u);
-        EXPECT_EQ(ds->decode_instance().blocks().used_blocks(), 0u);
-    } else if (auto *vs = dynamic_cast<
-                   windserve::baselines::VllmColocatedSystem *>(
+    } else if (auto *bs = dynamic_cast<windserve::baselines::BaselineSystem *>(
                    system_.get())) {
-        for (std::size_t i = 0; i < vs->num_engines(); ++i)
-            EXPECT_EQ(vs->engine_instance(i).blocks().used_blocks(), 0u);
+        for (std::size_t i = 0; i < bs->num_replicas(); ++i) {
+            EXPECT_EQ(bs->prefill(i).blocks().used_blocks(), 0u);
+            EXPECT_EQ(bs->decode(i).blocks().used_blocks(), 0u);
+        }
     }
 }
 

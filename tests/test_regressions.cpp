@@ -12,8 +12,7 @@
 #include <string>
 
 #include "audit/sim_auditor.hpp"
-#include "baselines/distserve_system.hpp"
-#include "baselines/vllm_system.hpp"
+#include "baselines/baseline_system.hpp"
 #include "core/windserve_system.hpp"
 #include "harness/experiment.hpp"
 #include "harness/fuzz.hpp"
@@ -76,13 +75,13 @@ expect_all_systems_reject(const std::string &field, Edit edit)
 
     bl::DistServeConfig ds;
     edit(ds);
-    what = invalid_argument_of([&] { bl::DistServeSystem sys(ds); });
+    what = invalid_argument_of([&] { bl::BaselineSystem sys(ds); });
     EXPECT_NE(what.find("'distserve/prefill'"), std::string::npos) << what;
     EXPECT_NE(what.find(field), std::string::npos) << what;
 
     bl::VllmConfig vc;
     edit(vc);
-    what = invalid_argument_of([&] { bl::VllmColocatedSystem sys(vc); });
+    what = invalid_argument_of([&] { bl::BaselineSystem sys(vc); });
     EXPECT_NE(what.find("'vllm/engine0'"), std::string::npos) << what;
     EXPECT_NE(what.find(field), std::string::npos) << what;
 }
@@ -504,6 +503,32 @@ TEST(Regression, ZeroPrefillTokenBudgetRejected)
 {
     expect_all_systems_reject("max_prefill_tokens",
                               [](auto &c) { c.max_prefill_tokens = 0; });
+}
+
+// A KV capacity below one block used to construct: every request then
+// waited forever, and all three systems finished none of a trace at
+// makespan 0 without an error.
+TEST(Regression, KvCapacityBelowOneBlockRejected)
+{
+    expect_all_systems_reject(
+        "KV capacity of 8 tokens holds no block of block_size 16",
+        [](auto &c) { c.kv_capacity_tokens_override = 8; });
+}
+
+// vLLM with no engines used to construct, and run() then crashed on
+// the empty engine table. Both baselines name their replica count.
+TEST(Regression, ZeroVllmEnginesRejected)
+{
+    bl::VllmConfig vc;
+    vc.num_engines = 0;
+    std::string what =
+        invalid_argument_of([&] { bl::BaselineSystem sys(vc); });
+    EXPECT_NE(what.find("num_engines"), std::string::npos) << what;
+
+    bl::DistServeConfig ds;
+    ds.num_replicas = 0;
+    what = invalid_argument_of([&] { bl::BaselineSystem sys(ds); });
+    EXPECT_NE(what.find("num_replicas"), std::string::npos) << what;
 }
 
 TEST(Regression, NonPositiveHorizonRejected)

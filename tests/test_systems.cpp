@@ -5,12 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <initializer_list>
 #include <limits>
 #include <stdexcept>
 #include <string>
 
-#include "baselines/distserve_system.hpp"
-#include "baselines/vllm_system.hpp"
+#include "baselines/baseline_system.hpp"
 #include "core/windserve_system.hpp"
 #include "harness/experiment.hpp"
 
@@ -133,6 +133,20 @@ TEST(WindServeSystem, OutOfRangePodConfigNamed)
              [](auto &c) { c.dispatch_reserve_fraction = 1.5; }},
             {"dispatch_reserve_fraction",
              [=](auto &c) { c.dispatch_reserve_fraction = nan; }},
+            {"thrd", [=](auto &c) { c.coordinator.thrd = nan; }},
+            {"thrd", [](auto &c) { c.coordinator.thrd = -1.0; }},
+            {"budget_ttft_fraction",
+             [=](auto &c) { c.coordinator.budget_ttft_fraction = nan; }},
+            {"budget_ttft_fraction",
+             [](auto &c) { c.coordinator.budget_ttft_fraction = -0.5; }},
+            {"budget_ttft_fraction",
+             [](auto &c) { c.coordinator.budget_ttft_fraction = 0.0; }},
+            {"resched_occupancy_trigger",
+             [=](auto &c) { c.coordinator.resched_occupancy_trigger = nan; }},
+            {"resched_occupancy_trigger",
+             [](auto &c) { c.coordinator.resched_occupancy_trigger = -0.1; }},
+            {"resched_occupancy_trigger",
+             [](auto &c) { c.coordinator.resched_occupancy_trigger = 1.5; }},
         };
     for (const auto &[field, edit] : cases) {
         core::WindServeConfig cfg;
@@ -146,23 +160,36 @@ TEST(WindServeSystem, OutOfRangePodConfigNamed)
         EXPECT_NE(what.find("pod 0"), std::string::npos) << what;
         EXPECT_NE(what.find(field), std::string::npos) << what;
     }
+    // The edges of each range stay accepted.
+    for (auto edit : std::initializer_list<
+             std::function<void(core::WindServeConfig &)>>{
+             [](auto &c) { c.coordinator.thrd = 0.0; },
+             [](auto &c) { c.coordinator.thrd = 1e6; },
+             [](auto &c) { c.coordinator.budget_ttft_fraction = 1.0; },
+             [](auto &c) { c.coordinator.resched_occupancy_trigger = 0.0; },
+             [](auto &c) { c.coordinator.resched_occupancy_trigger = 0.99; },
+         }) {
+        core::WindServeConfig cfg;
+        edit(cfg);
+        EXPECT_NO_THROW(core::WindServeSystem sys(cfg));
+    }
 }
 
 TEST(DistServeSystem, CompletesModerateLoad)
 {
     bl::DistServeConfig cfg;
-    bl::DistServeSystem sys(cfg);
+    bl::BaselineSystem sys(cfg);
     auto rr = sys.run(small_trace(8.0, 400));
     expect_all_finished_sane(rr.requests);
-    EXPECT_EQ(sys.prefill_instance().blocks().used_blocks(), 0u);
-    EXPECT_EQ(sys.decode_instance().blocks().used_blocks(), 0u);
+    EXPECT_EQ(sys.prefill(0).blocks().used_blocks(), 0u);
+    EXPECT_EQ(sys.decode(0).blocks().used_blocks(), 0u);
 }
 
 TEST(DistServeSystem, TransferDelaysDecodeStart)
 {
     bl::DistServeConfig cfg;
     cfg.exec_noise_sigma = 0.0;
-    bl::DistServeSystem sys(cfg);
+    bl::BaselineSystem sys(cfg);
     auto rr = sys.run(small_trace(2.0, 100));
     double kv_per_token =
         cfg.model.kv_bytes_per_token();
@@ -182,17 +209,17 @@ TEST(DistServeSystem, TransferDelaysDecodeStart)
 TEST(VllmSystem, CompletesModerateLoad)
 {
     bl::VllmConfig cfg;
-    bl::VllmColocatedSystem sys(cfg);
+    bl::BaselineSystem sys(cfg);
     auto rr = sys.run(small_trace(8.0, 400));
     expect_all_finished_sane(rr.requests);
-    for (std::size_t i = 0; i < sys.num_engines(); ++i)
-        EXPECT_EQ(sys.engine_instance(i).blocks().used_blocks(), 0u);
+    for (std::size_t i = 0; i < sys.num_replicas(); ++i)
+        EXPECT_EQ(sys.prefill(i).blocks().used_blocks(), 0u);
 }
 
 TEST(VllmSystem, NoTransfersEver)
 {
     bl::VllmConfig cfg;
-    bl::VllmColocatedSystem sys(cfg);
+    bl::BaselineSystem sys(cfg);
     auto rr = sys.run(small_trace(4.0, 200));
     for (const auto &r : rr.requests)
         EXPECT_EQ(r.transfer_done_time, wl::kNoTime);
@@ -202,7 +229,7 @@ TEST(VllmSystem, ChunkedPrefillMarksRequests)
 {
     bl::VllmConfig cfg;
     cfg.chunk_size = 256;
-    bl::VllmColocatedSystem sys(cfg);
+    bl::BaselineSystem sys(cfg);
     auto rr = sys.run(small_trace(4.0, 200));
     std::size_t chunked = 0;
     for (const auto &r : rr.requests)
@@ -220,7 +247,7 @@ TEST(SystemComparison, WindServeBeatsDistServeUnderLoad)
     core::WindServeSystem wind(wcfg);
     auto wm = wind.run(trace, slo).metrics;
     bl::DistServeConfig dcfg;
-    bl::DistServeSystem dist(dcfg);
+    bl::BaselineSystem dist(dcfg);
     auto dm = dist.run(trace, slo).metrics;
     EXPECT_LT(wm.ttft.median(), 0.6 * dm.ttft.median());
     EXPECT_GE(wm.slo_attainment, dm.slo_attainment);
