@@ -28,8 +28,7 @@
  */
 #pragma once
 
-#include <map>
-#include <memory>
+#include <vector>
 
 #include "engine/instance.hpp"
 #include "engine/serving_system.hpp"
@@ -99,45 +98,31 @@ class BaselineSystem : public engine::ServingSystem
 
     std::string name() const override { return name_; }
     std::size_t num_gpus() const override { return num_gpus_; }
-    sim::Simulator &simulator() override { return sim_; }
 
-    std::size_t num_replicas() const { return replicas_.size(); }
-    /** Replica @p i 's prefill instance (a vLLM engine). */
-    engine::Instance &prefill(std::size_t i)
+    std::size_t num_replicas() const override { return pairs_.size(); }
+    engine::Instance &prefill(std::size_t i) override
     {
-        return *replicas_.at(i).prefill;
+        return *pairs_.at(i).prefill;
     }
-    /** Replica @p i 's decode instance; a vLLM engine is its own. */
-    engine::Instance &decode(std::size_t i)
+    engine::Instance &decode(std::size_t i) override
     {
-        Replica &rep = replicas_.at(i);
-        return rep.decode ? *rep.decode : *rep.prefill;
+        return pairs_.at(i).decode_side();
     }
 
   protected:
-    void replay(const std::vector<workload::Request> &trace,
-                double horizon) override;
-    void fill_system_metrics(metrics::RunMetrics &m) override;
+    /** Round-robin over the replicas in trace order. */
+    void on_arrival(workload::Request *r) override;
     void attach(const engine::Attachments &at) override;
 
   private:
-    /** A prefill/decode pair with its private transfer path, or one
-     *  co-located engine (`decode` and `xfer` null). */
-    struct Replica {
-        std::unique_ptr<engine::Instance> prefill;
-        std::unique_ptr<engine::Instance> decode;
-        std::unique_ptr<transfer::KvTransferManager> xfer;
-        /** In-flight post-prefill KV copies (a prefill crash sweeps
-         *  these; they sit in no instance queue). */
-        std::map<workload::RequestId, workload::Request *> transferring;
-    };
-
+    /** Install every replica's callbacks (once its members exist). */
+    void wire();
     void on_prefill_complete(std::size_t i, workload::Request *r);
+    void note_decode_ready(workload::Request *r);
 
     std::string name_;
     std::size_t num_gpus_ = 0;
-    sim::Simulator sim_;
-    std::vector<Replica> replicas_;
+    std::vector<transfer::InstancePair> pairs_;
 };
 
 } // namespace windserve::baselines

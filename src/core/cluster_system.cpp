@@ -86,7 +86,7 @@ ClusterServeSystem::ClusterServeSystem(ClusterConfig cfg)
     const bool multi = total > 1;
 
     // Multi-pod clusters are partitioned into logical processes: each
-    // pod simulates on its own kernel; the hub (this->sim_) keeps the
+    // pod simulates on its own kernel; the hub (sim_) keeps the
     // arrivals, the balancer, the NIC fabric and the chaos engine. A
     // 1-pod cluster runs its pod on the hub kernel.
     if (multi) {
@@ -129,10 +129,6 @@ ClusterServeSystem::ClusterServeSystem(ClusterConfig cfg)
         pods_.push_back(std::make_unique<Pod>(
             multi ? *pod_sims_[k] : sim_, pc, std::move(hooks),
             std::move(prefix), k));
-    }
-    for (auto &p : pods_) {
-        pod_of_instance_[&p->prefill_instance()] = p.get();
-        pod_of_instance_[&p->decode_instance()] = p.get();
     }
 
     // One processor-sharing egress link per node carries cross-pod KV.
@@ -595,9 +591,13 @@ ClusterServeSystem::install_fault_hooks(fault::FaultInjector &inj)
     }
     inj.set_crash_hook(
         [this](engine::Instance &inst, std::vector<Request *> &victims) {
-            auto it = pod_of_instance_.find(&inst);
-            if (it != pod_of_instance_.end())
-                it->second->on_instance_crashed(inst, victims);
+            for (auto &p : pods_) {
+                if (&inst == &p->prefill_instance() ||
+                    &inst == &p->decode_instance()) {
+                    p->on_instance_crashed(inst, victims);
+                    return;
+                }
+            }
         });
 }
 
@@ -605,9 +605,8 @@ void
 ClusterServeSystem::replay(const std::vector<workload::Request> &trace,
                            double horizon)
 {
-    requests_ = trace;
-    home_pod_.assign(requests_.size(), kNoHome);
-    outstanding_ = requests_.size();
+    home_pod_.assign(trace.size(), kNoHome);
+    outstanding_ = trace.size();
     if (!pod_sims_.empty()) {
         sim::LpScheduler::Config lc;
         lc.lookahead = ctl_latency_;
@@ -619,20 +618,11 @@ ClusterServeSystem::replay(const std::vector<workload::Request> &trace,
     }
     if (ctrl_)
         ctrl_->start();
-    {
-        sim::SourceScope src(sim_, "arrival");
-        for (auto &r : requests_) {
-            Request *ptr = &r;
-            sim_.schedule_at(r.arrival_time,
-                             [this, ptr] { on_arrival(ptr); });
-        }
-    }
+    schedule_arrivals(trace);
     if (lp_)
         lp_->run_until(horizon);
     else
         sim_.run_until(horizon);
-    for (auto &p : pods_)
-        p->finalize_stats();
     // Fold the per-pod observability shards back into the shared
     // exports, in pod order, BEFORE run() appends request lifecycles
     // and counter tracks. Each shard stamped its events with its own
@@ -654,18 +644,6 @@ ClusterServeSystem::replay(const std::vector<workload::Request> &trace,
 void
 ClusterServeSystem::fill_system_metrics(metrics::RunMetrics &m)
 {
-    double pc = 0.0, pb = 0.0, dc = 0.0, db = 0.0;
-    for (auto &p : pods_) {
-        pc += p->prefill_instance().mean_compute_utilization();
-        pb += p->prefill_instance().mean_bandwidth_utilization();
-        dc += p->decode_instance().mean_compute_utilization();
-        db += p->decode_instance().mean_bandwidth_utilization();
-    }
-    double n = static_cast<double>(pods_.size());
-    m.prefill_compute_util = pc / n;
-    m.prefill_bandwidth_util = pb / n;
-    m.decode_compute_util = dc / n;
-    m.decode_bandwidth_util = db / n;
     if (ctrl_) {
         m.leader_crashes = ctrl_->leader_crashes();
         m.control_partitions = ctrl_->partitions();

@@ -126,8 +126,6 @@ class ClusterServeSystem : public engine::ServingSystem
 
     std::string name() const override { return "WindServe"; }
     std::size_t num_gpus() const override;
-    /** The HUB simulator (arrivals, balancer, NICs, chaos engine). */
-    sim::Simulator &simulator() override { return sim_; }
 
     std::uint64_t total_events_fired() override
     {
@@ -135,6 +133,16 @@ class ClusterServeSystem : public engine::ServingSystem
         for (const auto &s : pod_sims_)
             sum += s->events_fired();
         return sum;
+    }
+
+    std::size_t num_replicas() const override { return pods_.size(); }
+    engine::Instance &prefill(std::size_t k) override
+    {
+        return pods_.at(k)->prefill_instance();
+    }
+    engine::Instance &decode(std::size_t k) override
+    {
+        return pods_.at(k)->decode_instance();
     }
 
     // introspection
@@ -170,13 +178,13 @@ class ClusterServeSystem : public engine::ServingSystem
   protected:
     void replay(const std::vector<workload::Request> &trace,
                 double horizon) override;
+    /** Arrival entry point: direct admission, or (with a replicated
+     *  control plane) an Admit log entry applied at commit time. */
+    void on_arrival(workload::Request *r) override;
     void fill_system_metrics(metrics::RunMetrics &m) override;
     void attach(const engine::Attachments &at) override;
 
   private:
-    /** Arrival entry point: direct admission, or (with a replicated
-     *  control plane) an Admit log entry applied at commit time. */
-    void on_arrival(workload::Request *r);
     /** Balancer admission: pick a pod, record the home, hand over. */
     void admit_arrival(workload::Request *r);
 
@@ -223,7 +231,6 @@ class ClusterServeSystem : public engine::ServingSystem
     const std::vector<bool> &live_pods();
 
     ClusterConfig cfg_;
-    sim::Simulator sim_; ///< hub LP: arrivals, balancer, NICs, faults
     hw::Topology topo_; ///< cluster-wide (NIC links); pods own islands
     /** One simulator per pod (multi-pod only; empty = shared path). */
     std::vector<std::unique_ptr<sim::Simulator>> pod_sims_;
@@ -247,7 +254,6 @@ class ClusterServeSystem : public engine::ServingSystem
     CrossPodBalancer balancer_;
     /** live_pods() buffer, reused across admissions and re-dispatches. */
     std::vector<bool> live_;
-    std::map<const engine::Instance *, Pod *> pod_of_instance_;
     /** Current owning pod per request, indexed like requests_;
      *  kNoHome before admission and after retirement. */
     std::vector<std::uint32_t> home_pod_;

@@ -69,51 +69,37 @@ Pod::Pod(sim::Simulator &sim, const WindServeConfig &cfg, PodHooks hooks,
     model::CostModel decode_cost(cfg.model, topo_.gpu(0),
                                  cfg.decode_parallelism, cfg.cost_params);
 
-    engine::InstanceConfig pcfg;
-    pcfg.name = name_prefix_ + "prefill";
-    pcfg.role = engine::InstanceRole::Prefill;
-    pcfg.block_size = cfg.block_size;
-    pcfg.max_batch_size = cfg.max_batch_size;
-    pcfg.max_prefill_tokens = cfg.max_prefill_tokens;
+    engine::InstanceConfig pcfg = engine::instance_config(
+        cfg, name_prefix_ + "prefill", engine::InstanceRole::Prefill);
     // Migrated decodes trigger chunked prefill here (§3.3). Large
     // chunks keep prefill throughput high; the few migrated decodes are
     // long-context requests with TPOT slack.
     pcfg.chunk_size = cfg.prefill_chunk_size;
     pcfg.chunked_prefill = true;
-    pcfg.exec_noise_sigma = cfg.exec_noise_sigma;
-    pcfg.swap_enabled = cfg.swap_enabled;
-    pcfg.host_memory_bytes = cfg.host_memory_bytes;
-    pcfg.kv_capacity_tokens_override = cfg.kv_capacity_tokens_override;
-    prefill_ = std::make_unique<engine::Instance>(
+    pair_.prefill = std::make_unique<engine::Instance>(
         sim_, pcfg, prefill_cost, seed_rng.fork(),
         topo_.host_link(placement.prefill.front()));
 
-    engine::InstanceConfig dcfg;
-    dcfg.name = name_prefix_ + "decode";
-    dcfg.role = engine::InstanceRole::Decode;
-    dcfg.block_size = cfg.block_size;
-    dcfg.max_batch_size = cfg.max_batch_size;
-    dcfg.max_prefill_tokens = cfg.max_prefill_tokens;
+    engine::InstanceConfig dcfg = engine::instance_config(
+        cfg, name_prefix_ + "decode", engine::InstanceRole::Decode);
     dcfg.chunk_size = cfg.chunk_size;
     dcfg.stream_based_disaggregation = cfg.enable_sbd;
-    dcfg.exec_noise_sigma = cfg.exec_noise_sigma;
-    dcfg.swap_enabled = cfg.swap_enabled;
-    dcfg.host_memory_bytes = cfg.host_memory_bytes;
-    dcfg.kv_capacity_tokens_override = cfg.kv_capacity_tokens_override;
-    decode_ = std::make_unique<engine::Instance>(
+    pair_.decode = std::make_unique<engine::Instance>(
         sim_, dcfg, decode_cost, seed_rng.fork(),
         topo_.host_link(placement.decode.front()));
 
     hw::Link pd_link = topo_.best_link(placement.prefill, placement.decode);
     transfer::KvTransferConfig xcfg = cfg.transfer;
     xcfg.name_prefix = name_prefix_ + xcfg.name_prefix;
-    xfer_ = std::make_unique<transfer::KvTransferManager>(
+    pair_.xfer = std::make_unique<transfer::KvTransferManager>(
         sim_, pd_link, cfg.model, xcfg);
+    engine::Instance &prefill = *pair_.prefill;
+    engine::Instance &decode = *pair_.decode;
 
     migration_ = std::make_unique<transfer::MigrationManager>(
-        sim_, *xfer_, *decode_, *prefill_, backup_registry_, cfg.migration);
+        sim_, *pair_.xfer, decode, prefill, backup_registry_, cfg.migration);
     backup_ = std::make_unique<transfer::BackupManager>(
-        sim_, *xfer_, *decode_, *prefill_, backup_registry_, cfg.backup);
+        sim_, *pair_.xfer, decode, prefill, backup_registry_, cfg.backup);
 
     // Dispatch must back off before the decode instance is memory-tight;
     // scale the KV reserve with the actual capacity.
@@ -131,29 +117,27 @@ Pod::Pod(sim::Simulator &sim, const WindServeConfig &cfg, PodHooks hooks,
     // ------------------------------------------------------------------
     // callback wiring
     // ------------------------------------------------------------------
-    prefill_->callbacks.on_prefill_complete = [this](Request *r) {
+    prefill.callbacks.on_prefill_complete = [this](Request *r) {
         on_prefill_complete_at_prefill(r);
     };
-    prefill_->callbacks.on_finished = [this](Request *r) {
-        on_finished(r);
-    };
-    prefill_->callbacks.on_prefill_observation = [this](double n, double t) {
+    prefill.callbacks.on_finished = [this](Request *r) { on_finished(r); };
+    prefill.callbacks.on_prefill_observation = [this](double n, double t) {
         scheduler_->prefill_profiler().observe_prefill(n, t);
     };
 
-    decode_->callbacks.on_prefill_complete = [this](Request *r) {
+    decode.callbacks.on_prefill_complete = [this](Request *r) {
         on_prefill_complete_at_decode(r);
     };
-    decode_->callbacks.on_finished = [this](Request *r) { on_finished(r); };
-    decode_->callbacks.on_assist_bounce = [this](Request *r) {
+    decode.callbacks.on_finished = [this](Request *r) { on_finished(r); };
+    decode.callbacks.on_assist_bounce = [this](Request *r) {
         // The coordinator's slot check raced with decode KV growth:
         // fall back to the prefill instance.
-        prefill_->enqueue_prefill(r);
+        pair_.prefill->enqueue_prefill(r);
     };
-    decode_->callbacks.on_step = [this] {
+    decode.callbacks.on_step = [this] {
         migration_->on_source_step();
-        scheduler_->coordinator().maybe_reschedule(*decode_, *prefill_,
-                                                   *migration_);
+        scheduler_->coordinator().maybe_reschedule(
+            *pair_.decode, *pair_.prefill, *migration_);
         if (enable_backup_)
             backup_->maybe_backup();
     };
@@ -161,8 +145,9 @@ Pod::Pod(sim::Simulator &sim, const WindServeConfig &cfg, PodHooks hooks,
     migration_->on_migrated = [this](Request *r) {
         // enqueue_decode performs the Migrating -> WaitingDecode
         // transition itself.
-        prefill_->enqueue_decode(r, /*kv_resident=*/true);
+        pair_.prefill->enqueue_decode(r, /*kv_resident=*/true);
     };
+    pair_.on_landed = [this](Request *r) { notify_decode_ready(r); };
 }
 
 Pod::~Pod() = default;
@@ -171,27 +156,13 @@ void
 Pod::attach(const engine::Attachments &at, const std::string &pod_label)
 {
     at_ = at;
-    prefill_->attach(at);
-    decode_->attach(at);
-    xfer_->attach(at);
+    pair_.attach(at);
     migration_->attach(at);
     backup_->attach(at);
     scheduler_->coordinator().attach(at);
-
-    if (at.faults) {
-        at.faults->add_instance(prefill_.get());
-        at.faults->add_instance(decode_.get());
-        at.faults->add_channel(&xfer_->forward_channel());
-        at.faults->add_channel(&xfer_->reverse_channel());
-    }
     if (!at.telemetry)
         return;
     obs::MetricRegistry &reg = at.telemetry->registry();
-    prefill_->register_metrics(reg);
-    decode_->register_metrics(reg);
-    xfer_->forward_channel().register_metrics(reg);
-    xfer_->reverse_channel().register_metrics(reg);
-    xfer_->staged_channel().register_metrics(reg);
 
     const Coordinator *coord = &scheduler_->coordinator();
     reg.counter("ws_sched_dispatches_total", pod_label,
@@ -225,21 +196,21 @@ void
 Pod::on_arrival(Request *r)
 {
     DispatchDecision d = scheduler_->coordinator().decide_dispatch(
-        *r, *prefill_, *decode_);
+        *r, *pair_.prefill, *pair_.decode);
     // A down instance starts nothing until repaired: route around it
     // while the peer is up — phase-disaggregation's both-roles-capable
     // instances make this a free availability win.
-    if (d == DispatchDecision::DecodeInstance && decode_->is_down() &&
-        !prefill_->is_down()) {
+    if (d == DispatchDecision::DecodeInstance && pair_.decode->is_down() &&
+        !pair_.prefill->is_down()) {
         d = DispatchDecision::PrefillInstance;
     } else if (d == DispatchDecision::PrefillInstance &&
-               prefill_->is_down() && !decode_->is_down()) {
+               pair_.prefill->is_down() && !pair_.decode->is_down()) {
         d = DispatchDecision::DecodeInstance;
     }
     if (d == DispatchDecision::DecodeInstance)
-        decode_->enqueue_assist_prefill(r);
+        pair_.decode->enqueue_assist_prefill(r);
     else
-        prefill_->enqueue_prefill(r);
+        pair_.prefill->enqueue_prefill(r);
 }
 
 void
@@ -257,7 +228,7 @@ void
 Pod::on_prefill_complete_at_prefill(Request *r)
 {
     if (r->output_tokens <= 1) {
-        finish_prefill_only(*prefill_, r);
+        finish_prefill_only(*pair_.prefill, r);
         return;
     }
     // A cross-pod balancer may claim the KV hand-off (decode offload to
@@ -272,31 +243,23 @@ Pod::begin_local_decode_transfer(Request *r)
 {
     // WindServe overlaps the KV copy with the prefill pass; only the
     // tail is left on the critical path here (transfer config).
-    transferring_[r->id] = r;
-    xfer_->transfer_prefill_kv(r, [this, r, inc = r->incarnation] {
-        if (r->incarnation != inc)
-            return; // the prefill crashed mid-copy; r was re-dispatched
-        transferring_.erase(r->id);
-        prefill_->release_kv(r);
-        decode_->enqueue_decode(r, /*kv_resident=*/false);
-        notify_decode_ready(r);
-    });
+    pair_.hand_off(r);
 }
 
 void
 Pod::hold_for_offload(Request *r)
 {
-    transferring_[r->id] = r;
+    pair_.transferring[r->id] = r;
 }
 
 workload::Request *
 Pod::take_held_offload(workload::RequestId id)
 {
-    auto it = transferring_.find(id);
-    if (it == transferring_.end())
+    auto it = pair_.transferring.find(id);
+    if (it == pair_.transferring.end())
         return nullptr;
     Request *r = it->second;
-    transferring_.erase(it);
+    pair_.transferring.erase(it);
     return r;
 }
 
@@ -315,14 +278,14 @@ void
 Pod::on_prefill_complete_at_decode(Request *r)
 {
     if (r->output_tokens <= 1) {
-        finish_prefill_only(*decode_, r);
+        finish_prefill_only(*pair_.decode, r);
         return;
     }
     // Assist prefill: KV is already resident in the decode instance —
     // no transfer at all (a structural benefit of Dynamic Prefill
     // Dispatch).
     r->transfer_done_time = sim_.now();
-    decode_->enqueue_decode(r, /*kv_resident=*/true);
+    pair_.decode->enqueue_decode(r, /*kv_resident=*/true);
     notify_decode_ready(r);
 }
 
@@ -330,7 +293,7 @@ void
 Pod::admit_remote_decode(Request *r)
 {
     r->transfer_done_time = sim_.now();
-    decode_->enqueue_decode(r, /*kv_resident=*/false);
+    pair_.decode->enqueue_decode(r, /*kv_resident=*/false);
     notify_decode_ready(r);
 }
 
@@ -354,8 +317,8 @@ Pod::redispatch_after_fault(Request *r)
     // a full prefill recompute through the normal dispatch path.
     std::size_t backed = backup_registry_.backed_up_tokens(r->id);
     const bool resumable = backed >= r->prompt_tokens && backed > 0 &&
-                           !prefill_->is_down() &&
-                           prefill_->blocks().holds(r->id);
+                           !pair_.prefill->is_down() &&
+                           pair_.prefill->blocks().holds(r->id);
     if (obs::DecisionJournal *jnl = at_.journal) {
         obs::Decision d;
         d.time = sim_.now();
@@ -369,7 +332,7 @@ Pod::redispatch_after_fault(Request *r)
             resumable,
             {{"backed_up_tokens", static_cast<double>(backed)},
              {"prompt_tokens", static_cast<double>(r->prompt_tokens)},
-             {"prefill_up", prefill_->is_down() ? 0.0 : 1.0}}});
+             {"prefill_up", pair_.prefill->is_down() ? 0.0 : 1.0}}});
         d.candidates.push_back(obs::DecisionOption{
             "recompute",
             true,
@@ -381,7 +344,7 @@ Pod::redispatch_after_fault(Request *r)
         backup_registry_.drop(r->id);
         r->prefilled = r->prompt_tokens;
         r->generated = backed - r->prompt_tokens;
-        prefill_->enqueue_decode(r, /*kv_resident=*/true);
+        pair_.prefill->enqueue_decode(r, /*kv_resident=*/true);
         notify_decode_ready(r);
         return;
     }
@@ -398,27 +361,18 @@ void
 Pod::on_instance_crashed(engine::Instance &inst,
                          std::vector<Request *> &victims)
 {
-    if (&inst == prefill_.get()) {
+    if (&inst == pair_.prefill.get()) {
         // Every backup copy lived in the crashed HBM.
         migration_->on_target_crash();
         backup_->on_target_crash();
         backup_registry_.clear();
-        for (auto &[id, r] : transferring_)
-            victims.push_back(r);
-        transferring_.clear();
+        pair_.sweep(victims);
         hooks_.on_prefill_crash(*this, victims);
     } else {
         backup_->on_source_crash();
         for (Request *r : migration_->cancel_active())
             victims.push_back(r);
     }
-}
-
-void
-Pod::finalize_stats()
-{
-    prefill_->finalize_stats();
-    decode_->finalize_stats();
 }
 
 } // namespace windserve::core

@@ -30,7 +30,6 @@
 #pragma once
 
 #include <functional>
-#include <map>
 #include <memory>
 #include <string>
 
@@ -163,7 +162,7 @@ class Pod
     /**
      * Park a freshly prefilled request while the owner decides where
      * its decode runs (cross-pod offload control latency). The request
-     * joins the transferring_ ledger, so a prefill crash during the
+     * joins the pair's hand-off ledger, so a prefill crash during the
      * decision window sweeps it into the victim set like any other
      * in-flight hand-off.
      */
@@ -176,9 +175,6 @@ class Pod
      * must then be abandoned.
      */
     workload::Request *take_held_offload(workload::RequestId id);
-
-    /** Flush per-instance utilization stats at end of run. */
-    void finalize_stats();
 
     /**
      * Hand @p at to every component of the pod. With at.faults set,
@@ -195,12 +191,12 @@ class Pod
 
     // ---- introspection ----
 
-    engine::Instance &prefill_instance() { return *prefill_; }
-    engine::Instance &decode_instance() { return *decode_; }
+    engine::Instance &prefill_instance() { return *pair_.prefill; }
+    engine::Instance &decode_instance() { return *pair_.decode; }
     GlobalScheduler &scheduler() { return *scheduler_; }
     transfer::MigrationManager &migration() { return *migration_; }
     transfer::BackupManager &backup() { return *backup_; }
-    transfer::KvTransferManager &transfer() { return *xfer_; }
+    transfer::KvTransferManager &transfer() { return *pair_.xfer; }
     /** The pod's KV backup registry (the cluster control plane mirrors
      *  it into the coherent KV directory via BackupRegistry::Listener). */
     kvcache::BackupRegistry &backup_registry() { return backup_registry_; }
@@ -220,18 +216,12 @@ class Pod
     std::size_t index_;
     bool enable_backup_;
     hw::Topology topo_;
-    std::unique_ptr<engine::Instance> prefill_;
-    std::unique_ptr<engine::Instance> decode_;
-    std::unique_ptr<transfer::KvTransferManager> xfer_;
+    transfer::InstancePair pair_;
     kvcache::BackupRegistry backup_registry_;
     std::unique_ptr<transfer::MigrationManager> migration_;
     std::unique_ptr<transfer::BackupManager> backup_;
     std::unique_ptr<GlobalScheduler> scheduler_;
     engine::Attachments at_;
-    /** Requests whose prefill KV copy is in flight — invisible to both
-     *  instances' queues, so a prefill crash must sweep them here.
-     *  Ordered map: the crash hook iterates it. */
-    std::map<workload::RequestId, workload::Request *> transferring_;
 };
 
 } // namespace windserve::core

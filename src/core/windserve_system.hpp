@@ -38,9 +38,8 @@ class WindServeSystem : public ClusterServeSystem
     {
     }
 
-    // introspection for tests and ablation studies
-    engine::Instance &prefill_instance() { return pod(0).prefill_instance(); }
-    engine::Instance &decode_instance() { return pod(0).decode_instance(); }
+    // introspection for tests and ablation studies (the instances are
+    // prefill(0) and decode(0))
     GlobalScheduler &scheduler() { return pod(0).scheduler(); }
     transfer::MigrationManager &migration() { return pod(0).migration(); }
     transfer::BackupManager &backup() { return pod(0).backup(); }

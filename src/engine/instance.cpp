@@ -954,11 +954,4 @@ Instance::mean_bandwidth_utilization()
     return bw_util_.mean_utilization();
 }
 
-void
-Instance::finalize_stats()
-{
-    compute_util_.finalize(sim_.now());
-    bw_util_.finalize(sim_.now());
-}
-
 } // namespace windserve::engine

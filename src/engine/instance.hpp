@@ -25,6 +25,7 @@
 #include <memory>
 #include <string>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "engine/batch.hpp"
@@ -77,6 +78,25 @@ struct InstanceConfig {
      */
     std::size_t kv_capacity_tokens_override = 0;
 };
+
+/** An instance of @p cfg (a serving system's config: WindServe's,
+ *  DistServe's or vLLM's) with the seven knobs they all share. */
+template <typename Config>
+InstanceConfig
+instance_config(const Config &cfg, std::string name, InstanceRole role)
+{
+    InstanceConfig ic;
+    ic.name = std::move(name);
+    ic.role = role;
+    ic.block_size = cfg.block_size;
+    ic.max_batch_size = cfg.max_batch_size;
+    ic.max_prefill_tokens = cfg.max_prefill_tokens;
+    ic.exec_noise_sigma = cfg.exec_noise_sigma;
+    ic.swap_enabled = cfg.swap_enabled;
+    ic.host_memory_bytes = cfg.host_memory_bytes;
+    ic.kv_capacity_tokens_override = cfg.kv_capacity_tokens_override;
+    return ic;
+}
 
 /** Hooks a serving system installs on its instances. */
 struct InstanceCallbacks {
@@ -198,14 +218,13 @@ class Instance
     /** Lifetime swap-out event count (Fig. 1a). */
     std::uint64_t swap_out_events() const { return swap_.swap_out_events(); }
 
-    /** Mean achieved compute utilization (Fig. 2 "Tensor Core"). */
+    /** Mean achieved compute utilization from construction to now
+     *  (Fig. 2 "Tensor Core"). */
     double mean_compute_utilization();
 
-    /** Mean achieved HBM bandwidth utilization (Fig. 2 "Mem BW"). */
+    /** Mean achieved HBM bandwidth utilization from construction to
+     *  now (Fig. 2 "Mem BW"). */
     double mean_bandwidth_utilization();
-
-    /** Close utilization windows at simulation end. */
-    void finalize_stats();
 
     /** Total decode iterations executed. */
     std::uint64_t decode_iterations() const { return decode_iters_; }

@@ -3,9 +3,9 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "engine/instance.hpp"
 #include "fault/fault_injector.hpp"
 #include "obs/trace_recorder.hpp"
-#include "simcore/simulator.hpp"
 
 namespace windserve::engine {
 
@@ -15,7 +15,26 @@ ServingSystem::~ServingSystem() = default;
 std::uint64_t
 ServingSystem::total_events_fired()
 {
-    return simulator().events_fired();
+    return sim_.events_fired();
+}
+
+void
+ServingSystem::schedule_arrivals(const std::vector<workload::Request> &trace)
+{
+    requests_ = trace;
+    sim::SourceScope src(sim_, "arrival");
+    for (workload::Request &r : requests_) {
+        workload::Request *ptr = &r;
+        sim_.schedule_at(r.arrival_time, [this, ptr] { on_arrival(ptr); });
+    }
+}
+
+void
+ServingSystem::replay(const std::vector<workload::Request> &trace,
+                      double horizon)
+{
+    schedule_arrivals(trace);
+    sim_.run_until(horizon);
 }
 
 namespace {
@@ -54,16 +73,16 @@ ServingSystem::instrument(const RunOptions &opts)
     if (opts.telemetry)
         telemetry_ = std::make_unique<obs::Telemetry>(*opts.telemetry);
     if (opts.tracing)
-        trace_ = std::make_unique<obs::TraceRecorder>(simulator());
+        trace_ = std::make_unique<obs::TraceRecorder>(sim_);
     if (opts.audit)
-        audit_ = std::make_unique<audit::SimAuditor>(simulator(),
+        audit_ = std::make_unique<audit::SimAuditor>(sim_,
                                                      *opts.audit);
     if (opts.faults) {
         fault::FaultConfig fc = *opts.faults;
         if (fc.horizon <= 0.0)
             fc.horizon = opts.horizon;
         faults_ = std::make_unique<fault::FaultInjector>(
-            simulator(), fault::FaultPlan::generate(fc));
+            sim_, fault::FaultPlan::generate(fc));
     }
 
     Attachments at;
@@ -86,7 +105,7 @@ ServingSystem::instrument(const RunOptions &opts)
     // Telemetry arms before the fault schedule so the self-profiler
     // wraps every event the schedule posts.
     if (telemetry_)
-        telemetry_->arm(simulator());
+        telemetry_->arm(sim_);
     if (faults_)
         faults_->arm();
 }
@@ -104,11 +123,26 @@ ServingSystem::run(const std::vector<workload::Request> &trace,
     replay(trace, opts.horizon);
 
     if (telemetry_)
-        telemetry_->finish(simulator().now());
+        telemetry_->finish(sim_.now());
 
     RunResult out;
     out.requests = std::move(requests_);
     out.metrics = metrics::Collector(opts.slo).collect(out.requests);
+    // A co-located engine does both phases, so it reports the same
+    // means in both slots and Fig. 2-style comparisons stay
+    // well-defined.
+    double pc = 0.0, pb = 0.0, dc = 0.0, db = 0.0;
+    for (std::size_t i = 0; i < num_replicas(); ++i) {
+        pc += prefill(i).mean_compute_utilization();
+        pb += prefill(i).mean_bandwidth_utilization();
+        dc += decode(i).mean_compute_utilization();
+        db += decode(i).mean_bandwidth_utilization();
+    }
+    const double n = static_cast<double>(num_replicas());
+    out.metrics.prefill_compute_util = pc / n;
+    out.metrics.prefill_bandwidth_util = pb / n;
+    out.metrics.decode_compute_util = dc / n;
+    out.metrics.decode_bandwidth_util = db / n;
     fill_system_metrics(out.metrics);
     if (faults_) {
         out.metrics.instance_crashes = faults_->instance_crashes();

@@ -1,14 +1,15 @@
 /**
  * @file
- * Common interface of the serving systems under evaluation
- * (WindServe, DistServe, co-located vLLM).
+ * Common shape of the serving systems under evaluation (WindServe,
+ * DistServe, co-located vLLM): N replicas, each a prefill/decode
+ * instance pair or one co-located engine, on a simulator the base
+ * class owns, plus a routing function (on_arrival) for new requests.
  *
- * A system owns its Simulator, instances and interconnect channels,
- * replays a workload trace to completion, and hands the full outcome
- * back as one immutable RunResult value. Nothing about a finished run
- * is read through the system object afterwards, so a result can be
- * moved across threads (harness/parallel.hpp) without touching the
- * world that produced it.
+ * A system replays a workload trace to completion and hands the full
+ * outcome back as one immutable RunResult value. Nothing about a
+ * finished run is read through the system object afterwards, so a
+ * result can be moved across threads (harness/parallel.hpp) without
+ * touching the world that produced it.
  */
 #pragma once
 
@@ -22,13 +23,12 @@
 #include "fault/fault_plan.hpp"
 #include "metrics/collector.hpp"
 #include "obs/telemetry.hpp"
+#include "simcore/simulator.hpp"
 #include "workload/request.hpp"
 
-namespace windserve::sim {
-class Simulator;
-}
-
 namespace windserve::engine {
+
+class Instance;
 
 /**
  * Complete outcome of one serving-system run: the per-request results,
@@ -89,12 +89,20 @@ class ServingSystem
 
     /** The simulation kernel this deployment runs on. For partitioned
      *  systems (sim::LpScheduler) this is the HUB simulator. */
-    virtual sim::Simulator &simulator() = 0;
+    sim::Simulator &simulator() { return sim_; }
 
     /** Events fired across ALL of the run's simulators — equal to
      *  simulator().events_fired() except for partitioned systems,
      *  which add their logical processes' queues. */
     virtual std::uint64_t total_events_fired();
+
+    /** Replicas (instance pairs or co-located engines). */
+    virtual std::size_t num_replicas() const = 0;
+    /** Replica @p i 's prefill instance (a co-located engine). */
+    virtual Instance &prefill(std::size_t i) = 0;
+    /** Replica @p i 's decode instance; a co-located engine is its
+     *  own. */
+    virtual Instance &decode(std::size_t i) = 0;
 
     /** The attached recorder, or nullptr when tracing is off. */
     obs::TraceRecorder *trace() { return trace_.get(); }
@@ -114,7 +122,8 @@ class ServingSystem
 
     /**
      * Replay @p trace (sorted by arrival) until every request finishes
-     * or the horizon elapses, then collect metrics against the SLO.
+     * or the horizon elapses, then collect metrics against the SLO and
+     * average each utilisation over the replicas.
      * Attachments requested in @p opts are created first — telemetry,
      * tracing, audit, faults — and cross-linked (the injector reports
      * into the auditor and the recorder), then handed to attach().
@@ -145,12 +154,21 @@ class ServingSystem
     // complete recorder type in derived translation units.
     ServingSystem();
 
-    /** Replay the trace on the simulation kernel (system-specific). */
+    /** Replay the trace on the simulation kernel: schedule_arrivals(),
+     *  then run to @p horizon. */
     virtual void replay(const std::vector<workload::Request> &trace,
-                        double horizon) = 0;
+                        double horizon);
 
-    /** Fill instance-level utilization/counters into @p m. */
-    virtual void fill_system_metrics(metrics::RunMetrics &m) = 0;
+    /** Copy @p trace into requests_ and schedule on_arrival() for each
+     *  request at its arrival time, in trace order, under the
+     *  "arrival" event source. */
+    void schedule_arrivals(const std::vector<workload::Request> &trace);
+
+    /** Route a new request (an element of requests_) to a replica. */
+    virtual void on_arrival(workload::Request *r) = 0;
+
+    /** Fill system-specific counters into @p m (none by default). */
+    virtual void fill_system_metrics(metrics::RunMetrics &) {}
 
     /**
      * Hand @p at to every component (system-specific): point traced and
@@ -161,6 +179,10 @@ class ServingSystem
      * once, before anything is armed and before replay.
      */
     virtual void attach(const Attachments &at) = 0;
+
+    /** The hub simulator. Declared first, so it outlives every
+     *  component and attachment. */
+    sim::Simulator sim_;
 
     /** The per-request results; replay() fills them and run() moves
      *  them into the RunResult. */

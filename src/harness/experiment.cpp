@@ -214,14 +214,9 @@ run_experiment(const ExperimentConfig &cfg)
         result.reschedules = cs->total_reschedules();
         result.migrations_completed = cs->total_migrations();
         result.backups = cs->total_backups();
-        for (std::size_t k = 0; k < cs->num_pods(); ++k)
-            result.decode_swap_outs +=
-                cs->pod(k).decode_instance().swap_out_events();
-    } else if (auto *bs = dynamic_cast<baselines::BaselineSystem *>(
-                   system.get())) {
-        for (std::size_t i = 0; i < bs->num_replicas(); ++i)
-            result.decode_swap_outs += bs->decode(i).swap_out_events();
     }
+    for (std::size_t i = 0; i < system->num_replicas(); ++i)
+        result.decode_swap_outs += system->decode(i).swap_out_events();
     return result;
 }
 

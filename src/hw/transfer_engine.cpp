@@ -49,7 +49,6 @@ Channel::submit(double bytes, std::function<void()> on_complete)
     TransferId id = next_id_++;
     if (audit_)
         audit_->on_transfer_submit(name_, id, bytes);
-    done_[id] = false;
     total_bytes_ += bytes;
     queue_.push_back(Transfer{id, bytes, 0.0, std::move(on_complete)});
     if (!active_)
@@ -129,7 +128,6 @@ Channel::finish_active()
 {
     auto done = std::move(active_);
     active_.reset();
-    done_[done->id] = true;
     ++completed_;
     if (audit_) {
         audit_->on_transfer_complete(name_, done->id, done->bytes,
@@ -159,13 +157,12 @@ Channel::append(TransferId id, double bytes)
         throw std::invalid_argument("Channel::append: negative bytes");
     if (bytes == 0.0)
         return;
-    auto it = done_.find(id);
-    bool open = it != done_.end() && !it->second;
+    const bool open = in_flight(id);
     if (audit_)
         audit_->on_transfer_append(name_, id, bytes, open);
-    if (it == done_.end())
+    if (!issued(id))
         throw std::invalid_argument("Channel::append: unknown transfer");
-    if (it->second)
+    if (!open)
         throw std::logic_error("Channel::append: transfer already complete");
     total_bytes_ += bytes;
     if (active_ && active_->id == id) {
@@ -180,15 +177,22 @@ Channel::append(TransferId id, double bytes)
             return;
         }
     }
-    throw std::logic_error("Channel::append: transfer not found in queue");
+}
+
+bool
+Channel::in_flight(TransferId id) const
+{
+    if (active_ && active_->id == id)
+        return true;
+    for (const Transfer &t : queue_)
+        if (t.id == id)
+            return true;
+    return false;
 }
 
 double
 Channel::remaining_bytes(TransferId id) const
 {
-    auto it = done_.find(id);
-    if (it == done_.end() || it->second)
-        return 0.0;
     if (active_ && active_->id == id) {
         double elapsed = sim_.now() - active_started_;
         double wire_time =
@@ -206,8 +210,7 @@ Channel::remaining_bytes(TransferId id) const
 bool
 Channel::is_done(TransferId id) const
 {
-    auto it = done_.find(id);
-    return it != done_.end() && it->second;
+    return issued(id) && !in_flight(id);
 }
 
 double
@@ -271,7 +274,6 @@ SharedChannel::submit(double bytes, std::function<void()> on_complete)
     TransferId id = next_id_++;
     if (audit_)
         audit_->on_transfer_submit(name_, id, bytes);
-    done_[id] = false;
     total_bytes_ += bytes;
     settle();
     if (active_.empty())
@@ -378,7 +380,6 @@ SharedChannel::on_boundary()
         util_.set_busy(sim_.now(), false);
     reschedule();
     for (Active &a : ready) {
-        done_[a.id] = true;
         ++completed_;
         if (audit_) {
             audit_->on_transfer_complete(name_, a.id, a.bytes, a.begun,
@@ -433,13 +434,6 @@ SharedChannel::inflight_bytes() const
     for (const Active &a : active_)
         sum += std::max(0.0, a.remaining - elapsed * share);
     return sum;
-}
-
-bool
-SharedChannel::is_done(TransferId id) const
-{
-    auto it = done_.find(id);
-    return it != done_.end() && it->second;
 }
 
 double

@@ -21,7 +21,6 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <unordered_map>
 
 #include "engine/attachments.hpp"
 #include "hw/topology.hpp"
@@ -65,7 +64,8 @@ class Channel
     /** Bytes not yet on the wire for @p id (0 when complete/unknown). */
     double remaining_bytes(TransferId id) const;
 
-    /** True once @p id 's completion callback has fired. */
+    /** True once @p id was issued and has left the channel (its
+     *  completion callback is firing or has fired). */
     bool is_done(TransferId id) const;
 
     /** Transfers queued or active. */
@@ -128,6 +128,11 @@ class Channel
         std::function<void()> on_complete;
     };
 
+    /** Whether submit() has returned @p id. */
+    bool issued(TransferId id) const { return id > 0 && id < next_id_; }
+    /** Whether @p id is active or queued. */
+    bool in_flight(TransferId id) const;
+
     void start_next();
     void reschedule_active();
     void settle_active_progress();
@@ -144,7 +149,6 @@ class Channel
     double active_latency_left_ = 0.0;    ///< unpaid fixed latency
     double rate_factor_ = 1.0;            ///< fault-injected bandwidth scale
     sim::EventHandle active_event_;
-    std::unordered_map<TransferId, bool> done_;
     TransferId next_id_ = 1;
     double total_bytes_ = 0.0;
     std::uint64_t completed_ = 0;
@@ -188,9 +192,6 @@ class SharedChannel
     /** Start a transfer of @p bytes; @p on_complete fires when the last
      *  byte lands (at the earliest after the link latency). */
     TransferId submit(double bytes, std::function<void()> on_complete);
-
-    /** True once @p id 's completion callback has fired. */
-    bool is_done(TransferId id) const;
 
     /** Transfers currently in flight. */
     std::size_t inflight() const { return active_.size(); }
@@ -258,7 +259,6 @@ class SharedChannel
     sim::SimTime last_settle_ = 0.0;
     double rate_factor_ = 1.0;
     sim::EventHandle event_;
-    std::unordered_map<TransferId, bool> done_;
     TransferId next_id_ = 1;
     double total_bytes_ = 0.0;
     std::uint64_t completed_ = 0;

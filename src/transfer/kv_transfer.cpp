@@ -5,6 +5,7 @@
 
 #include "audit/sim_auditor.hpp"
 #include "fault/fault_injector.hpp"
+#include "obs/telemetry.hpp"
 
 namespace windserve::transfer {
 
@@ -88,6 +89,64 @@ KvTransferManager::transfer_prefill_kv(workload::Request *r,
             (*finish)();
         });
     });
+}
+
+void
+InstancePair::hand_off(workload::Request *r)
+{
+    if (!xfer) {
+        prefill->enqueue_decode(r, /*kv_resident=*/true);
+        on_landed(r);
+        return;
+    }
+    transferring[r->id] = r;
+    xfer->transfer_prefill_kv(r, [this, r, inc = r->incarnation] {
+        if (r->incarnation != inc)
+            return; // the prefill crashed mid-copy; r was re-dispatched
+        transferring.erase(r->id);
+        prefill->release_kv(r);
+        decode->enqueue_decode(r, /*kv_resident=*/false);
+        on_landed(r);
+    });
+}
+
+void
+InstancePair::sweep(std::vector<workload::Request *> &victims)
+{
+    for (auto &[id, r] : transferring)
+        victims.push_back(r);
+    transferring.clear();
+}
+
+void
+InstancePair::attach(const engine::Attachments &at)
+{
+    engine::Instance *insts[] = {prefill.get(), decode.get()};
+    for (engine::Instance *inst : insts)
+        if (inst)
+            inst->attach(at);
+    if (xfer)
+        xfer->attach(at);
+    if (at.telemetry) {
+        obs::MetricRegistry &reg = at.telemetry->registry();
+        for (engine::Instance *inst : insts)
+            if (inst)
+                inst->register_metrics(reg);
+        if (xfer) {
+            xfer->forward_channel().register_metrics(reg);
+            xfer->reverse_channel().register_metrics(reg);
+            xfer->staged_channel().register_metrics(reg);
+        }
+    }
+    if (at.faults) {
+        for (engine::Instance *inst : insts)
+            if (inst)
+                at.faults->add_instance(inst);
+        if (xfer) {
+            at.faults->add_channel(&xfer->forward_channel());
+            at.faults->add_channel(&xfer->reverse_channel());
+        }
+    }
 }
 
 } // namespace windserve::transfer

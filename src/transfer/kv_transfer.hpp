@@ -15,9 +15,12 @@
 #pragma once
 
 #include <functional>
+#include <map>
 #include <memory>
 #include <string>
+#include <vector>
 
+#include "engine/instance.hpp"
 #include "hw/transfer_engine.hpp"
 #include "model/model_spec.hpp"
 #include "workload/request.hpp"
@@ -106,6 +109,49 @@ class KvTransferManager
     hw::Channel staged_;
     audit::SimAuditor *audit_ = nullptr;
     fault::FaultInjector *faults_ = nullptr;
+};
+
+/**
+ * One replica of a serving system: a prefill/decode instance pair with
+ * its private transfer path, or one co-located engine (`decode` and
+ * `xfer` null). Owns the pair's prefill -> decode KV hand-off and the
+ * ledger of hand-offs in flight, which sit in neither instance's
+ * queues, so a prefill crash must sweep them from here.
+ */
+struct InstancePair {
+    std::unique_ptr<engine::Instance> prefill;
+    std::unique_ptr<engine::Instance> decode;
+    std::unique_ptr<KvTransferManager> xfer;
+    /** Hand-offs in flight (or parked by the owner). Ordered: the
+     *  crash sweep iterates it. */
+    std::map<workload::RequestId, workload::Request *> transferring;
+    /** A handed-off request reached the decode queue; set once by the
+     *  owner. */
+    std::function<void(workload::Request *)> on_landed;
+
+    /** Where decodes run: the decode instance, or the engine itself. */
+    engine::Instance &decode_side() { return decode ? *decode : *prefill; }
+
+    /**
+     * Move a freshly prefilled @p r to the decode queue, then call
+     * on_landed(@p r). A co-located engine decodes in place at once. A
+     * pair ships the prompt KV over `xfer` and releases the prefill KV
+     * when the copy lands; a landing after a prefill crash
+     * re-dispatched @p r is ignored.
+     */
+    void hand_off(workload::Request *r);
+
+    /** The prefill instance crashed: move every ledger entry into
+     *  @p victims, in request-id order. */
+    void sweep(std::vector<workload::Request *> &victims);
+
+    /**
+     * Attach @p at to the instances and the transfer path. Registers
+     * metrics on the telemetry (prefill, decode, p2d, d2p, staged) and
+     * fault targets on the injector (prefill, decode, p2d, d2p), in
+     * that order; absent members are skipped.
+     */
+    void attach(const engine::Attachments &at);
 };
 
 } // namespace windserve::transfer

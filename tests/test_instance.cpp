@@ -479,7 +479,6 @@ TEST(InstanceUtilization, AccruesWithWork)
     auto r = make_req(1, 2048, 10);
     f.s.schedule(0.0, [&] { f.inst->enqueue_prefill(&r); });
     f.s.run();
-    f.inst->finalize_stats();
     EXPECT_GT(f.inst->mean_compute_utilization(), 0.3);
 }
 

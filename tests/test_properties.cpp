@@ -19,13 +19,32 @@ struct PropertyParam {
     const char *scenario;
     hs::SystemKind system;
     double per_gpu_rate;
+    /** Above 1, the deployment spans this many nodes of two pods each
+     *  (WindServe pods, DistServe pairs, or vLLM engines to match). */
+    std::size_t num_nodes = 1;
 };
 
 std::ostream &
 operator<<(std::ostream &os, const PropertyParam &p)
 {
-    return os << p.scenario << "/" << hs::to_string(p.system) << "@"
-              << p.per_gpu_rate;
+    os << p.scenario << "/" << hs::to_string(p.system) << "@"
+       << p.per_gpu_rate;
+    if (p.num_nodes > 1)
+        os << "x" << p.num_nodes << "nodes";
+    return os;
+}
+
+/** A gtest-safe name: @p s with every non-alphanumeric mapped to '_',
+ *  and a `_nodes<N>` suffix for a multi-node cell. */
+std::string
+case_name(std::string s, const PropertyParam &p)
+{
+    if (p.num_nodes > 1)
+        s += "_nodes" + std::to_string(p.num_nodes);
+    for (auto &c : s)
+        if (!isalnum(static_cast<unsigned char>(c)))
+            c = '_';
+    return s;
 }
 
 hs::Scenario
@@ -49,6 +68,8 @@ class ServingInvariants : public ::testing::TestWithParam<PropertyParam>
         cfg_.scenario = scenario_by_name(p.scenario);
         cfg_.system = p.system;
         cfg_.per_gpu_rate = p.per_gpu_rate;
+        cfg_.num_nodes = p.num_nodes;
+        cfg_.pods_per_node = p.num_nodes > 1 ? 2 : 1;
         cfg_.num_requests = 250;
         cfg_.seed = 1337;
         cfg_.horizon = 36000.0;
@@ -144,16 +165,9 @@ TEST_P(ServingInvariants, AllKvBlocksReleasedAtEnd)
         all_done &= r.finished();
     if (!all_done)
         GTEST_SKIP() << "not all requests finished within horizon";
-    if (auto *ws = dynamic_cast<windserve::core::WindServeSystem *>(
-            system_.get())) {
-        EXPECT_EQ(ws->prefill_instance().blocks().used_blocks(), 0u);
-        EXPECT_EQ(ws->decode_instance().blocks().used_blocks(), 0u);
-    } else if (auto *bs = dynamic_cast<windserve::baselines::BaselineSystem *>(
-                   system_.get())) {
-        for (std::size_t i = 0; i < bs->num_replicas(); ++i) {
-            EXPECT_EQ(bs->prefill(i).blocks().used_blocks(), 0u);
-            EXPECT_EQ(bs->decode(i).blocks().used_blocks(), 0u);
-        }
+    for (std::size_t i = 0; i < system_->num_replicas(); ++i) {
+        EXPECT_EQ(system_->prefill(i).blocks().used_blocks(), 0u);
+        EXPECT_EQ(system_->decode(i).blocks().used_blocks(), 0u);
     }
 }
 
@@ -186,16 +200,15 @@ INSTANTIATE_TEST_SUITE_P(
         PropertyParam{"opt13b", hs::SystemKind::WindServeNoSplit, 5.0},
         PropertyParam{"opt13b", hs::SystemKind::WindServeNoResche, 5.0},
         PropertyParam{"opt13b", hs::SystemKind::WindServeNoDispatch,
-                      3.0}),
+                      3.0},
+        PropertyParam{"opt13b", hs::SystemKind::WindServe, 4.0, 2},
+        PropertyParam{"opt13b", hs::SystemKind::DistServe, 4.0, 2},
+        PropertyParam{"opt13b", hs::SystemKind::Vllm, 4.0, 2}),
     [](const ::testing::TestParamInfo<PropertyParam> &info) {
         std::ostringstream os;
         os << hs::to_string(info.param.system) << "_rate"
            << static_cast<int>(info.param.per_gpu_rate * 10);
-        std::string s = os.str();
-        for (auto &c : s)
-            if (!isalnum(static_cast<unsigned char>(c)))
-                c = '_';
-        return s;
+        return case_name(os.str(), info.param);
     });
 
 INSTANTIATE_TEST_SUITE_P(
@@ -209,11 +222,7 @@ INSTANTIATE_TEST_SUITE_P(
         std::ostringstream os;
         os << hs::to_string(info.param.system) << "_rate"
            << static_cast<int>(info.param.per_gpu_rate * 100);
-        std::string s = os.str();
-        for (auto &c : s)
-            if (!isalnum(static_cast<unsigned char>(c)))
-                c = '_';
-        return s;
+        return case_name(os.str(), info.param);
     });
 
 INSTANTIATE_TEST_SUITE_P(
@@ -227,9 +236,5 @@ INSTANTIATE_TEST_SUITE_P(
         std::ostringstream os;
         os << info.param.scenario << "_"
            << hs::to_string(info.param.system);
-        std::string s = os.str();
-        for (auto &c : s)
-            if (!isalnum(static_cast<unsigned char>(c)))
-                c = '_';
-        return s;
+        return case_name(os.str(), info.param);
     });

@@ -289,8 +289,8 @@ TEST(Regression, MigrationsNeverLeakSourceBlocks)
     for (const auto &r : rr.requests)
         ASSERT_TRUE(r.finished());
     EXPECT_GT(ws->migration().completed(), 0u);
-    EXPECT_EQ(ws->decode_instance().blocks().used_blocks(), 0u);
-    EXPECT_EQ(ws->prefill_instance().blocks().used_blocks(), 0u);
+    EXPECT_EQ(ws->decode(0).blocks().used_blocks(), 0u);
+    EXPECT_EQ(ws->prefill(0).blocks().used_blocks(), 0u);
 }
 
 // Bug 7 (pool-full swap corrupted accounting): Instance::swap_out used

@@ -59,8 +59,8 @@ TEST(WindServeSystem, CompletesModerateLoad)
     auto rr = sys.run(trace);
     expect_all_finished_sane(rr.requests);
     // All KV returned.
-    EXPECT_EQ(sys.prefill_instance().blocks().used_blocks(), 0u);
-    EXPECT_EQ(sys.decode_instance().blocks().used_blocks(), 0u);
+    EXPECT_EQ(sys.prefill(0).blocks().used_blocks(), 0u);
+    EXPECT_EQ(sys.decode(0).blocks().used_blocks(), 0u);
 }
 
 TEST(WindServeSystem, DeterministicAcrossRuns)
@@ -83,7 +83,7 @@ TEST(WindServeSystem, TtftNeverBelowPurePrefillTime)
     cfg.exec_noise_sigma = 0.0;
     core::WindServeSystem sys(cfg);
     auto rr = sys.run(small_trace(6.0, 200));
-    const auto &cost = sys.prefill_instance().cost();
+    const auto &cost = sys.prefill(0).cost();
     for (const auto &r : rr.requests) {
         // TTFT includes at least the prompt's own pass time (possibly
         // within a bigger batch; batch time > own time).

@@ -97,6 +97,7 @@ TEST(Channel, RemainingBytesDecreasesOverTime)
     s.run();
     EXPECT_DOUBLE_EQ(ch.remaining_bytes(id), 0.0);
     EXPECT_TRUE(ch.is_done(id));
+    EXPECT_FALSE(ch.is_done(id + 1)); // never issued
 }
 
 TEST(Channel, RemainingBytesOfQueuedTransferIsFull)
