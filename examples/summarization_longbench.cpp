@@ -70,12 +70,12 @@ main(int argc, char **argv)
     {
         core::WindServeSystem sys(base);
         add("WindServe (overlapped KV transfer)", sys);
+        core::Pod &pod = sys.pod(0);
         std::cout << "WindServe internals: dispatches="
-                  << sys.scheduler().coordinator().dispatches()
-                  << " reschedules="
-                  << sys.scheduler().coordinator().reschedules()
-                  << " migrations=" << sys.migration().completed()
-                  << " backups=" << sys.backup().backups_taken() << "\n";
+                  << pod.coordinator().dispatches()
+                  << " reschedules=" << pod.coordinator().reschedules()
+                  << " migrations=" << pod.migration().completed()
+                  << " backups=" << pod.backup().backups_taken() << "\n";
     }
     {
         core::WindServeConfig sync_cfg = base;

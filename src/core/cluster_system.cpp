@@ -103,32 +103,8 @@ ClusterServeSystem::ClusterServeSystem(ClusterConfig cfg)
         pc.topology.inter_node_links.clear();
         pc.seed = pod_seed(cfg_.pod.seed, k);
         std::string prefix = multi ? "pod" + std::to_string(k) + "/" : "";
-
-        PodHooks hooks;
-        hooks.on_finished = [this, k](Request *r) {
-            // Balancer accounting lives on the hub.
-            on_hub(k, [this, r] { retire_finished(r); });
-        };
-        hooks.offload_decode = [this](Pod &p, Request *r) {
-            return maybe_offload(p, r);
-        };
-        hooks.redispatch_remote = [this](Pod &p, Request *r) {
-            return maybe_redispatch_remote(p, r);
-        };
-        hooks.on_prefill_crash = [this](Pod &p,
-                                        std::vector<Request *> &victims) {
-            sweep_cross_transfers(p, victims);
-        };
-        if (multi) {
-            // The injector runs on the hub clock.
-            hooks.decode_ready = [this](Pod &p, Request *r) {
-                on_hub(p.index(),
-                       [this, r] { faults()->note_decode_ready(r); });
-            };
-        }
         pods_.push_back(std::make_unique<Pod>(
-            multi ? *pod_sims_[k] : sim_, pc, std::move(hooks),
-            std::move(prefix), k));
+            multi ? *pod_sims_[k] : sim_, pc, *this, std::move(prefix), k));
     }
 
     // One processor-sharing egress link per node carries cross-pod KV.
@@ -247,14 +223,9 @@ ClusterServeSystem::live_pods()
 void
 ClusterServeSystem::on_arrival(Request *r)
 {
-    if (!ctrl_) {
-        admit_arrival(r);
-        return;
-    }
-    // Admission is an externally visible scheduler decision: it takes
-    // effect only once a majority of control replicas commit it.
-    ctrl_->propose(ctrl::CommandKind::Admit, r->id,
-                   [this, r] { admit_arrival(r); });
+    // Admission is an externally visible scheduler decision: with a
+    // control plane it takes effect only once a majority commits it.
+    commit(ctrl::CommandKind::Admit, r->id, [this, r] { admit_arrival(r); });
 }
 
 void
@@ -284,6 +255,20 @@ ClusterServeSystem::retire_finished(Request *r)
         ctrl_->stop();
 }
 
+void
+ClusterServeSystem::pod_finished(Pod &src, Request *r)
+{
+    // Balancer accounting lives on the hub.
+    on_hub(src.index(), [this, r] { retire_finished(r); });
+}
+
+void
+ClusterServeSystem::decode_ready(Pod &src, Request *r)
+{
+    // The injector runs on the hub clock.
+    on_hub(src.index(), [this, r] { faults()->note_decode_ready(r); });
+}
+
 bool
 ClusterServeSystem::maybe_offload(Pod &src, Request *r)
 {
@@ -300,18 +285,13 @@ ClusterServeSystem::maybe_offload(Pod &src, Request *r)
     src.hold_for_offload(r);
     lp_->post(pod_sims_[k]->now() + ctl_latency_,
               [this, k, r, inc = r->incarnation] {
-                  if (!ctrl_) {
-                      decide_offload(k, r, inc);
-                      return;
-                  }
-                  // Offload is externally visible: replicate first,
-                  // decide at commit. The hold survives the commit
-                  // latency; a crash meanwhile sweeps the hold and the
-                  // apply falls through harmlessly.
-                  ctrl_->propose(ctrl::CommandKind::Offload, r->id,
-                                 [this, k, r, inc] {
-                                     decide_offload(k, r, inc);
-                                 });
+                  // Offload is externally visible: with a control
+                  // plane, replicate first and decide at commit. The
+                  // hold survives the commit latency; a crash meanwhile
+                  // sweeps the hold and the apply falls through
+                  // harmlessly.
+                  commit(ctrl::CommandKind::Offload, r->id,
+                         [this, k, r, inc] { decide_offload(k, r, inc); });
               });
     return true;
 }
@@ -562,22 +542,19 @@ ClusterServeSystem::install_fault_hooks(fault::FaultInjector &inj)
         inj.add_node_group(std::move(group));
     }
     inj.set_redispatch([this](Request *r) {
-        if (!ctrl_) {
-            pods_[home_of(r)]->redispatch_after_fault(r);
-            return;
-        }
-        ctrl_->propose(ctrl::CommandKind::Redispatch, r->id, [this, r] {
-            // New-leader resume path: consult the KV-backup directory.
-            // A hit means the victim's checkpointed prefix survives at
-            // its home pod, so the re-dispatch restores from the
-            // backup instead of recomputing from scratch (the pod's
-            // scheduler reads its registry — the directory's backing
-            // truth — when it rebuilds the plan).
-            ++directory_consults_;
-            const ctrl::KvDirectory::Entry *e =
-                ctrl_->directory().lookup(r->id);
-            if (e && e->pod == home_of(r))
-                ++directory_hits_;
+        commit(ctrl::CommandKind::Redispatch, r->id, [this, r] {
+            if (ctrl_) {
+                // New-leader resume path: a KV-backup directory hit
+                // means the victim's checkpointed prefix survives at
+                // its home pod, which resumes from its own registry
+                // (the directory's backing truth) instead of
+                // recomputing from scratch.
+                ++directory_consults_;
+                const ctrl::KvDirectory::Entry *e =
+                    ctrl_->directory().lookup(r->id);
+                if (e && e->pod == home_of(r))
+                    ++directory_hits_;
+            }
             pods_[home_of(r)]->redispatch_after_fault(r);
         });
     });
@@ -659,7 +636,7 @@ ClusterServeSystem::total_dispatches() const
 {
     std::uint64_t sum = 0;
     for (const auto &p : pods_)
-        sum += p->scheduler().coordinator().dispatches();
+        sum += p->coordinator().dispatches();
     return sum;
 }
 
@@ -668,7 +645,7 @@ ClusterServeSystem::total_reschedules() const
 {
     std::uint64_t sum = 0;
     for (const auto &p : pods_)
-        sum += p->scheduler().coordinator().reschedules();
+        sum += p->coordinator().reschedules();
     return sum;
 }
 

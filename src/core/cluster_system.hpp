@@ -2,9 +2,9 @@
  * @file
  * ClusterServeSystem: WindServe on `num_nodes` NVLink islands, each
  * hosting `pods_per_node` pods (a pod = one prefill/decode pair with
- * its own Global Scheduler — see core/pod.hpp). Every WindServe run
- * goes through this class; WindServeSystem is its one-node, one-pod
- * case.
+ * its own Profiler and Coordinator — see core/pod.hpp). Every
+ * WindServe run goes through this class; WindServeSystem is its
+ * one-node, one-pod case.
  *
  * A CrossPodBalancer routes each new request to the least-loaded pod;
  * everything after admission (dispatch, SBD, stall-free rescheduling,
@@ -146,7 +146,6 @@ class ClusterServeSystem : public engine::ServingSystem
     }
 
     // introspection
-    std::size_t num_pods() const { return pods_.size(); }
     Pod &pod(std::size_t k) { return *pods_.at(k); }
     /** The LP scheduler of the last replay (nullptr before replay and
      *  for single-pod clusters). */
@@ -154,7 +153,6 @@ class ClusterServeSystem : public engine::ServingSystem
     /** Cross-pod control-plane latency == LpScheduler lookahead. */
     double lookahead() const { return ctl_latency_; }
     const CrossPodBalancer &balancer() const { return balancer_; }
-    const hw::Topology &topology() const { return topo_; }
     const ClusterConfig &config() const { return cfg_; }
     std::uint64_t cross_offloads() const { return cross_offloads_; }
     std::uint64_t cross_redispatches() const { return cross_redispatches_; }
@@ -185,10 +183,23 @@ class ClusterServeSystem : public engine::ServingSystem
     void attach(const engine::Attachments &at) override;
 
   private:
+    friend class Pod; // calls the "Pod entry" methods below
+
+    /** Run @p apply now or, with a control plane, once a majority
+     *  commits it as a @p kind log entry for request @p id. */
+    template <class F>
+    void commit(ctrl::CommandKind kind, workload::RequestId id, F &&apply)
+    {
+        if (!ctrl_)
+            apply();
+        else
+            ctrl_->propose(kind, id, std::forward<F>(apply));
+    }
+
     /** Balancer admission: pick a pod, record the home, hand over. */
     void admit_arrival(workload::Request *r);
 
-    /** Pod hook: maybe claim a prefill completion for remote decode.
+    /** Pod entry: maybe claim a prefill completion for remote decode.
      *  Multi-pod: parks the request and posts the decision to the hub
      *  one control-latency later (decide_offload). */
     bool maybe_offload(Pod &src, workload::Request *r);
@@ -196,8 +207,12 @@ class ClusterServeSystem : public engine::ServingSystem
      *  the NIC or fall back to the pod-local hand-off. */
     void decide_offload(std::size_t k, workload::Request *r,
                         std::uint32_t inc);
-    /** on_finished bookkeeping (balancer release) on the hub timeline. */
+    /** Balancer release and drain check for a retired request. */
     void retire_finished(workload::Request *r);
+    /** Pod entry: retire_finished on the hub timeline. */
+    void pod_finished(Pod &src, workload::Request *r);
+    /** Pod entry: close @p r 's fault-recovery window on the hub. */
+    void decode_ready(Pod &src, workload::Request *r);
     /** Run @p fn on the hub timeline at pod @p k's time: at once from a
      *  hub phase (or a single pod), else as a zero-delay hub message,
      *  since mid-window the pod's clock runs ahead of the hub's. */
@@ -212,9 +227,9 @@ class ClusterServeSystem : public engine::ServingSystem
     /** Node fault domains plus the injector's redispatch, control-fault
      *  and crash hooks (attach() with a fault injector). */
     void install_fault_hooks(fault::FaultInjector &inj);
-    /** Pod hook: re-home a victim whose pod is fully down. */
+    /** Pod entry: re-home a victim whose pod is fully down. */
     bool maybe_redispatch_remote(Pod &src, workload::Request *r);
-    /** Pod hook: sweep cross-pod copies out of a crashed prefill. */
+    /** Pod entry: sweep cross-pod copies out of a crashed prefill. */
     void sweep_cross_transfers(Pod &src,
                                std::vector<workload::Request *> &victims);
 

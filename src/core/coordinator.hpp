@@ -70,7 +70,7 @@ enum class DispatchDecision { PrefillInstance, DecodeInstance };
 
 /**
  * Cross-instance dynamic scheduling policy engine. Owns no instances;
- * the GlobalScheduler wires it to them.
+ * the Pod that owns it wires it to them.
  */
 class Coordinator
 {

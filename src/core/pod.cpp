@@ -4,7 +4,7 @@
 #include <stdexcept>
 
 #include "audit/sim_auditor.hpp"
-#include "fault/fault_injector.hpp"
+#include "core/cluster_system.hpp"
 #include "obs/telemetry.hpp"
 #include "simcore/log.hpp"
 
@@ -51,10 +51,10 @@ validate(const WindServeConfig &cfg, std::size_t index)
 
 } // namespace
 
-Pod::Pod(sim::Simulator &sim, const WindServeConfig &cfg, PodHooks hooks,
-         std::string name_prefix, std::size_t index)
-    : sim_(sim), hooks_(std::move(hooks)),
-      name_prefix_(std::move(name_prefix)), index_(index),
+Pod::Pod(sim::Simulator &sim, const WindServeConfig &cfg,
+         ClusterServeSystem &cluster, std::string name_prefix,
+         std::size_t index)
+    : sim_(sim), cluster_(cluster), index_(index),
       enable_backup_(cfg.coordinator.enable_backup), topo_(cfg.topology)
 {
     validate(cfg, index);
@@ -70,7 +70,7 @@ Pod::Pod(sim::Simulator &sim, const WindServeConfig &cfg, PodHooks hooks,
                                  cfg.decode_parallelism, cfg.cost_params);
 
     engine::InstanceConfig pcfg = engine::instance_config(
-        cfg, name_prefix_ + "prefill", engine::InstanceRole::Prefill);
+        cfg, name_prefix + "prefill", engine::InstanceRole::Prefill);
     // Migrated decodes trigger chunked prefill here (§3.3). Large
     // chunks keep prefill throughput high; the few migrated decodes are
     // long-context requests with TPOT slack.
@@ -81,7 +81,7 @@ Pod::Pod(sim::Simulator &sim, const WindServeConfig &cfg, PodHooks hooks,
         topo_.host_link(placement.prefill.front()));
 
     engine::InstanceConfig dcfg = engine::instance_config(
-        cfg, name_prefix_ + "decode", engine::InstanceRole::Decode);
+        cfg, name_prefix + "decode", engine::InstanceRole::Decode);
     dcfg.chunk_size = cfg.chunk_size;
     dcfg.stream_based_disaggregation = cfg.enable_sbd;
     pair_.decode = std::make_unique<engine::Instance>(
@@ -90,7 +90,7 @@ Pod::Pod(sim::Simulator &sim, const WindServeConfig &cfg, PodHooks hooks,
 
     hw::Link pd_link = topo_.best_link(placement.prefill, placement.decode);
     transfer::KvTransferConfig xcfg = cfg.transfer;
-    xcfg.name_prefix = name_prefix_ + xcfg.name_prefix;
+    xcfg.name_prefix = name_prefix + xcfg.name_prefix;
     pair_.xfer = std::make_unique<transfer::KvTransferManager>(
         sim_, pd_link, cfg.model, xcfg);
     engine::Instance &prefill = *pair_.prefill;
@@ -108,11 +108,14 @@ Pod::Pod(sim::Simulator &sim, const WindServeConfig &cfg, PodHooks hooks,
         coord_cfg.dispatch_kv_reserve_tokens,
         static_cast<std::size_t>(cfg.dispatch_reserve_fraction *
                                  decode_cost.kv_capacity_tokens()));
-    scheduler_ = std::make_unique<GlobalScheduler>(coord_cfg);
-    scheduler_->bind_clock(&sim_);
+    coordinator_ = std::make_unique<Coordinator>(coord_cfg, prefill_profiler_);
+    coordinator_->bind_clock(&sim_);
+    // Offline calibration of the prefill Profiler, then the assist
+    // budget from the SLOs over the decode instance's cost model.
     sim::Rng calib_rng = seed_rng.fork();
-    scheduler_->calibrate(prefill_cost, decode_cost, cfg.ttft_slo,
-                          cfg.tpot_slo, calib_rng, cfg.exec_noise_sigma);
+    prefill_profiler_.calibrate_offline(prefill_cost, calib_rng,
+                                        cfg.exec_noise_sigma);
+    coordinator_->compute_budget(decode_cost, cfg.ttft_slo, cfg.tpot_slo);
 
     // ------------------------------------------------------------------
     // callback wiring
@@ -122,7 +125,7 @@ Pod::Pod(sim::Simulator &sim, const WindServeConfig &cfg, PodHooks hooks,
     };
     prefill.callbacks.on_finished = [this](Request *r) { on_finished(r); };
     prefill.callbacks.on_prefill_observation = [this](double n, double t) {
-        scheduler_->prefill_profiler().observe_prefill(n, t);
+        prefill_profiler_.observe_prefill(n, t);
     };
 
     decode.callbacks.on_prefill_complete = [this](Request *r) {
@@ -136,7 +139,7 @@ Pod::Pod(sim::Simulator &sim, const WindServeConfig &cfg, PodHooks hooks,
     };
     decode.callbacks.on_step = [this] {
         migration_->on_source_step();
-        scheduler_->coordinator().maybe_reschedule(
+        coordinator_->maybe_reschedule(
             *pair_.decode, *pair_.prefill, *migration_);
         if (enable_backup_)
             backup_->maybe_backup();
@@ -159,20 +162,19 @@ Pod::attach(const engine::Attachments &at, const std::string &pod_label)
     pair_.attach(at);
     migration_->attach(at);
     backup_->attach(at);
-    scheduler_->coordinator().attach(at);
+    coordinator_->attach(at);
     if (!at.telemetry)
         return;
     obs::MetricRegistry &reg = at.telemetry->registry();
 
-    const Coordinator *coord = &scheduler_->coordinator();
     reg.counter("ws_sched_dispatches_total", pod_label,
-                [coord] {
-                    return static_cast<double>(coord->dispatches());
+                [this] {
+                    return static_cast<double>(coordinator_->dispatches());
                 },
                 "Dynamic prefill dispatches to the decode instance");
     reg.counter("ws_sched_reschedules_total", pod_label,
-                [coord] {
-                    return static_cast<double>(coord->reschedules());
+                [this] {
+                    return static_cast<double>(coordinator_->reschedules());
                 },
                 "Dynamic rescheduling migrations started");
     reg.gauge("ws_migrations_active", pod_label,
@@ -195,7 +197,7 @@ Pod::attach(const engine::Attachments &at, const std::string &pod_label)
 void
 Pod::on_arrival(Request *r)
 {
-    DispatchDecision d = scheduler_->coordinator().decide_dispatch(
+    DispatchDecision d = coordinator_->decide_dispatch(
         *r, *pair_.prefill, *pair_.decode);
     // A down instance starts nothing until repaired: route around it
     // while the peer is up — phase-disaggregation's both-roles-capable
@@ -233,7 +235,7 @@ Pod::on_prefill_complete_at_prefill(Request *r)
     }
     // A cross-pod balancer may claim the KV hand-off (decode offload to
     // a less loaded pod); otherwise the local prefill->decode copy runs.
-    if (hooks_.offload_decode(*this, r))
+    if (cluster_.maybe_offload(*this, r))
         return;
     begin_local_decode_transfer(r);
 }
@@ -266,12 +268,8 @@ Pod::take_held_offload(workload::RequestId id)
 void
 Pod::notify_decode_ready(Request *r)
 {
-    if (!at_.faults)
-        return;
-    if (hooks_.decode_ready)
-        hooks_.decode_ready(*this, r);
-    else
-        at_.faults->note_decode_ready(r);
+    if (at_.faults)
+        cluster_.decode_ready(*this, r);
 }
 
 void
@@ -304,7 +302,7 @@ Pod::on_finished(Request *r)
     backup_->on_request_done(r);
     notify_decode_ready(r); // single-token recoveries finish without
                             // re-entering a decode queue
-    hooks_.on_finished(r);
+    cluster_.pod_finished(*this, r);
 }
 
 void
@@ -352,7 +350,7 @@ Pod::redispatch_after_fault(Request *r)
     r->generated = 0;
     // A fully-down pod cannot recompute: offer the victim to the
     // cluster's cross-pod path before queueing on a dead instance.
-    if (hooks_.redispatch_remote(*this, r))
+    if (cluster_.maybe_redispatch_remote(*this, r))
         return;
     on_arrival(r);
 }
@@ -367,7 +365,7 @@ Pod::on_instance_crashed(engine::Instance &inst,
         backup_->on_target_crash();
         backup_registry_.clear();
         pair_.sweep(victims);
-        hooks_.on_prefill_crash(*this, victims);
+        cluster_.sweep_cross_transfers(*this, victims);
     } else {
         backup_->on_source_crash();
         for (Request *r : migration_->cancel_active())

@@ -1,39 +1,38 @@
 /**
  * @file
  * One WindServe pod: a prefill/decode instance pair with its own
- * global scheduler, KV transfer path, migration and backup managers,
- * plus WindServeConfig, the configuration that builds it.
+ * global scheduler (the prefill instance's Eq. (1) Profiler plus the
+ * Coordinator, paper §3.2), KV transfer path, migration and backup
+ * managers, plus WindServeConfig, the configuration that builds it.
  *
  * A pod runs the paper's full Fig. 4 pipeline locally (dispatch, SBD,
  * stall-free rescheduling, proactive backups) on one NVLink island's
  * worth of GPUs. ClusterServeSystem is the only owner: it builds one
- * pod per (node, slot) and routes between them through the PodHooks
- * seams below. WindServeSystem is that cluster with a single pod.
+ * pod per (node, slot), and the pod reaches the cluster only through
+ * five private cluster entry points:
+ *  - maybe_offload: a local prefill completed; true when the cluster
+ *    ships the KV over the NIC to another pod instead of the local
+ *    prefill->decode copy;
+ *  - maybe_redispatch_remote: a crash victim cannot be re-dispatched
+ *    locally; true when the cluster re-routes it to another pod;
+ *  - sweep_cross_transfers: the prefill instance crashed; the cluster
+ *    sweeps the cross-pod KV copies out of this pod still in flight;
+ *  - pod_finished: a request retired; the cluster releases its
+ *    balancer load on the hub timeline;
+ *  - decode_ready: a request reached a decode queue (or finished),
+ *    closing the fault injector's recovery window on the hub timeline.
+ *    Called only while a fault injector is attached.
  *
- * The hooks are the only cross-pod surface:
- *  - on_finished     request retired — the owner decrements its
- *                    outstanding count / balancer load;
- *  - offload_decode  called when a local prefill completes; return
- *                    true to take ownership of the KV hand-off (ship
- *                    it over the NIC to another pod) instead of the
- *                    local prefill->decode copy;
- *  - redispatch_remote called when a crash victim cannot be
- *                    re-dispatched locally; return true to re-route it
- *                    to another pod;
- *  - on_prefill_crash lets the owner sweep requests whose cross-pod KV
- *                    copy out of this pod is in flight;
- *  - decode_ready    (optional) see below.
- *
- * With one pod the cross-pod hooks always decline, so the pod runs the
- * plain single-testbed pipeline.
+ * With one pod the cross-pod entry points decline and the hub calls
+ * run inline, so the pod runs the plain single-testbed pipeline.
  */
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <string>
 
-#include "core/global_scheduler.hpp"
+#include "core/coordinator.hpp"
+#include "core/profiler.hpp"
 #include "engine/instance.hpp"
 #include "hw/topology.hpp"
 #include "transfer/kv_transfer.hpp"
@@ -84,31 +83,7 @@ struct WindServeConfig {
     std::uint64_t seed = 7;
 };
 
-class Pod;
-
-/** Cross-pod seams; see file comment. All but decode_ready are
- *  required. */
-struct PodHooks {
-    /** Request retired (finished or failed-forward). */
-    std::function<void(workload::Request *)> on_finished;
-    /** Offer a freshly prefilled request for cross-pod decode. */
-    std::function<bool(Pod &, workload::Request *)> offload_decode;
-    /** Offer a crash victim whose pod cannot serve it locally. */
-    std::function<bool(Pod &, workload::Request *)> redispatch_remote;
-    /** The pod's prefill instance crashed: sweep cross-pod transfers. */
-    std::function<void(Pod &, std::vector<workload::Request *> &)>
-        on_prefill_crash;
-    /**
-     * A request reached a decode queue (or finished) — the chaos
-     * engine's recovery-window close. Installed by owners whose fault
-     * injector lives on a different simulator than the pod (multi-pod
-     * clusters post the notification onto the hub timeline, whose
-     * clock the injector runs on); when absent the pod calls
-     * FaultInjector::note_decode_ready() directly. Only invoked while
-     * a fault injector is attached.
-     */
-    std::function<void(Pod &, workload::Request *)> decode_ready;
-};
+class ClusterServeSystem;
 
 /** See file comment. */
 class Pod
@@ -118,7 +93,7 @@ class Pod
      * Build a pod on @p sim. @p name_prefix (e.g. "pod3/") prefixes the
      * instance and channel names so the auditor's per-name ledgers stay
      * distinct across pods; a single-pod cluster passes "". @p index is
-     * the pod's id within its cluster.
+     * the pod's id within its cluster, @p cluster its owner.
      *
      * @throws std::invalid_argument naming the pod (or instance) and
      *         the field when an SLO is not finite and > 0,
@@ -128,8 +103,9 @@ class Pod
      *         (0, 1], or an instance-level field is out of range (see
      *         Instance).
      */
-    Pod(sim::Simulator &sim, const WindServeConfig &cfg, PodHooks hooks,
-        std::string name_prefix, std::size_t index);
+    Pod(sim::Simulator &sim, const WindServeConfig &cfg,
+        ClusterServeSystem &cluster, std::string name_prefix,
+        std::size_t index);
     ~Pod();
 
     // ---- request lifecycle (entry points for the owner) ----
@@ -138,7 +114,8 @@ class Pod
     void on_arrival(workload::Request *r);
 
     /** Backup-aware re-dispatch of a crash victim (may bounce to the
-     *  owner via redispatch_remote when the pod is fully down). */
+     *  cluster via maybe_redispatch_remote when the pod is fully
+     *  down). */
     void redispatch_after_fault(workload::Request *r);
 
     /** Crash sweep for one of this pod's instances. */
@@ -193,7 +170,9 @@ class Pod
 
     engine::Instance &prefill_instance() { return *pair_.prefill; }
     engine::Instance &decode_instance() { return *pair_.decode; }
-    GlobalScheduler &scheduler() { return *scheduler_; }
+    /** The prefill instance's Eq. (1) Profiler. */
+    Profiler &prefill_profiler() { return prefill_profiler_; }
+    Coordinator &coordinator() { return *coordinator_; }
     transfer::MigrationManager &migration() { return *migration_; }
     transfer::BackupManager &backup() { return *backup_; }
     transfer::KvTransferManager &transfer() { return *pair_.xfer; }
@@ -201,7 +180,6 @@ class Pod
      *  it into the coherent KV directory via BackupRegistry::Listener). */
     kvcache::BackupRegistry &backup_registry() { return backup_registry_; }
     std::size_t index() const { return index_; }
-    const std::string &name_prefix() const { return name_prefix_; }
 
   private:
     void on_prefill_complete_at_prefill(workload::Request *r);
@@ -211,8 +189,7 @@ class Pod
     void notify_decode_ready(workload::Request *r);
 
     sim::Simulator &sim_;
-    PodHooks hooks_;
-    std::string name_prefix_;
+    ClusterServeSystem &cluster_;
     std::size_t index_;
     bool enable_backup_;
     hw::Topology topo_;
@@ -220,7 +197,8 @@ class Pod
     kvcache::BackupRegistry backup_registry_;
     std::unique_ptr<transfer::MigrationManager> migration_;
     std::unique_ptr<transfer::BackupManager> backup_;
-    std::unique_ptr<GlobalScheduler> scheduler_;
+    Profiler prefill_profiler_;
+    std::unique_ptr<Coordinator> coordinator_;
     engine::Attachments at_;
 };
 

@@ -14,8 +14,8 @@
  *
  * That pipeline is one core::Pod. WindServeSystem is the
  * ClusterServeSystem of one node holding one pod, so a single-testbed
- * run and a sharded cluster share one replay and one attachment path;
- * the accessors below reach into that pod.
+ * run and a sharded cluster share one replay and one attachment path.
+ * Tests and examples reach into that pod through pod(0).
  *
  * Ablation switches reproduce the §5.4 variants:
  *   enable_sbd = false            -> WindServe-no-split
@@ -38,10 +38,9 @@ class WindServeSystem : public ClusterServeSystem
     {
     }
 
-    // introspection for tests and ablation studies (the instances are
-    // prefill(0) and decode(0))
-    GlobalScheduler &scheduler() { return pod(0).scheduler(); }
-    transfer::MigrationManager &migration() { return pod(0).migration(); }
+    // Forwarders to pod(0) for simbench/traced.cpp only; the next
+    // benchmark change moves it to pod(0) and deletes scheduler().
+    Pod &scheduler() { return pod(0); }
     transfer::BackupManager &backup() { return pod(0).backup(); }
 
   private:

@@ -349,26 +349,7 @@ Instance::try_start_sbd_stream()
         return;
     sim::SourceScope src(sim_, src_sbd_);
     std::vector<Request *> batch;
-    std::size_t tokens = 0;
-    while (!assist_q_.empty() &&
-           tokens < cfg_.max_prefill_tokens) {
-        Request *r = assist_q_.front();
-        if (!blocks_.can_allocate(r->prompt_tokens)) {
-            // The coordinator's slot check raced with decode growth:
-            // hand the job back to the global scheduler.
-            assist_q_.pop_front();
-            if (callbacks.on_assist_bounce)
-                callbacks.on_assist_bounce(r);
-            continue;
-        }
-        blocks_.allocate(r->id, r->prompt_tokens);
-        assist_q_.pop_front();
-        if (r->prefill_start_time == workload::kNoTime)
-            r->prefill_start_time = sim_.now();
-        audit::transition(audit_, *r, RequestState::Prefilling);
-        batch.push_back(r);
-        tokens += r->prompt_tokens;
-    }
+    const std::size_t tokens = admit_assists(batch, cfg_.max_prefill_tokens);
     if (batch.empty())
         return;
     double dur = sampler_.sbd_prefill(static_cast<double>(tokens));
@@ -408,6 +389,31 @@ Instance::complete_sbd_stream()
     if (callbacks.on_step)
         callbacks.on_step();
     pump();
+}
+
+std::size_t
+Instance::admit_assists(std::vector<Request *> &batch, std::size_t token_cap)
+{
+    std::size_t tokens = 0;
+    while (!assist_q_.empty() && tokens < token_cap) {
+        Request *r = assist_q_.front();
+        if (!blocks_.can_allocate(r->prompt_tokens)) {
+            // The coordinator's slot check raced with decode growth:
+            // hand the job back to the global scheduler.
+            assist_q_.pop_front();
+            if (callbacks.on_assist_bounce)
+                callbacks.on_assist_bounce(r);
+            continue;
+        }
+        blocks_.allocate(r->id, r->prompt_tokens);
+        assist_q_.pop_front();
+        if (r->prefill_start_time == workload::kNoTime)
+            r->prefill_start_time = sim_.now();
+        audit::transition(audit_, *r, RequestState::Prefilling);
+        batch.push_back(r);
+        tokens += r->prompt_tokens;
+    }
+    return tokens;
 }
 
 // ---------------------------------------------------------------------
@@ -461,24 +467,8 @@ Instance::try_start_group(std::size_t g)
     std::vector<Request *> hybrid;
     std::size_t hybrid_tokens = 0;
     if (cfg_.role == InstanceRole::Decode &&
-        !cfg_.stream_based_disaggregation) {
-        while (!assist_q_.empty()) {
-            Request *r = assist_q_.front();
-            if (!blocks_.can_allocate(r->prompt_tokens)) {
-                assist_q_.pop_front();
-                if (callbacks.on_assist_bounce)
-                    callbacks.on_assist_bounce(r);
-                continue;
-            }
-            blocks_.allocate(r->id, r->prompt_tokens);
-            assist_q_.pop_front();
-            if (r->prefill_start_time == workload::kNoTime)
-                r->prefill_start_time = sim_.now();
-            audit::transition(audit_, *r, RequestState::Prefilling);
-            hybrid.push_back(r);
-            hybrid_tokens += r->prompt_tokens;
-        }
-    }
+        !cfg_.stream_based_disaggregation)
+        hybrid_tokens = admit_assists(hybrid);
 
     if (batch == 0 && chunk_tokens == 0 && hybrid.empty())
         return;

@@ -22,6 +22,7 @@
 #include <cstddef>
 #include <deque>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <string>
 #include <unordered_set>
@@ -293,6 +294,13 @@ class Instance
     void try_swap_in();
 
     // helpers
+    /** Start assist prefills from the head of assist_q_ into @p batch
+     *  while it holds fewer than @p token_cap prompt tokens; a job
+     *  whose KV no longer fits bounces to on_assist_bounce.
+     *  @return the prompt tokens added to @p batch. */
+    std::size_t admit_assists(
+        std::vector<Request *> &batch,
+        std::size_t token_cap = std::numeric_limits<std::size_t>::max());
     bool chunk_mode_active() const;
     void finish_prefill_of(Request *r);
     void finish_request(Request *r);

@@ -82,7 +82,6 @@
 // WindServe core
 #include "core/cluster_system.hpp"
 #include "core/coordinator.hpp"
-#include "core/global_scheduler.hpp"
 #include "core/pod.hpp"
 #include "core/pod_balancer.hpp"
 #include "core/profiler.hpp"

@@ -278,7 +278,7 @@ small_trace(std::size_t n, double rate, std::uint64_t seed)
 TEST(ClusterSystem, RoutesAcrossPodsAndFinishesEverything)
 {
     core::ClusterServeSystem sys(small_cluster(2, 2));
-    ASSERT_EQ(sys.num_pods(), 4u);
+    ASSERT_EQ(sys.num_replicas(), 4u);
     EXPECT_EQ(sys.num_gpus(), 16u);
     engine::RunOptions opts;
     opts.horizon = 3600.0;
@@ -287,8 +287,8 @@ TEST(ClusterSystem, RoutesAcrossPodsAndFinishesEverything)
     // The balancer touched every pod.
     EXPECT_EQ(sys.balancer().routed(), 200u);
     std::uint64_t total = 0;
-    for (std::size_t k = 0; k < sys.num_pods(); ++k)
-        total += sys.pod(k).scheduler().coordinator().dispatches();
+    for (std::size_t k = 0; k < sys.num_replicas(); ++k)
+        total += sys.pod(k).coordinator().dispatches();
     EXPECT_EQ(total, sys.total_dispatches());
     EXPECT_GT(total, 0u);
 }
@@ -438,7 +438,7 @@ TEST(ClusterSystem, BalancerDrainsAfterFaultFreeOffloadRun)
     auto system = hs::make_system(ec);
     auto *cs = dynamic_cast<core::ClusterServeSystem *>(system.get());
     ASSERT_NE(cs, nullptr);
-    ASSERT_EQ(cs->num_pods(), 8u);
+    ASSERT_EQ(cs->num_replicas(), 8u);
     ASSERT_TRUE(cs->config().allow_cross_pod);
     engine::RunOptions opts;
     opts.horizon = ec.horizon;
@@ -446,8 +446,45 @@ TEST(ClusterSystem, BalancerDrainsAfterFaultFreeOffloadRun)
     ASSERT_EQ(run.metrics.num_finished, 400u);
     EXPECT_GT(cs->cross_offloads(), 0u);
     EXPECT_EQ(cs->balancer().routed(), 400u);
-    for (std::size_t k = 0; k < cs->num_pods(); ++k)
+    for (std::size_t k = 0; k < cs->num_replicas(); ++k)
         EXPECT_EQ(cs->balancer().load(k), 0.0) << "pod " << k;
+}
+
+TEST(ClusterSystem, PodCountersSumAcrossPods)
+{
+    // The cluster goldens all pin `reschedules 0`; this run puts two
+    // pods under enough decode pressure that both reschedule, so the
+    // cluster-wide counters are checked against real per-pod values.
+    hs::ExperimentConfig ec;
+    ec.scenario = hs::Scenario::opt13b_sharegpt_small_decode();
+    ec.system = hs::SystemKind::WindServe;
+    ec.num_nodes = 1;
+    ec.pods_per_node = 2;
+    ec.per_gpu_rate = 2.0;
+    ec.num_requests = 1200;
+    ec.horizon = 36000.0;
+    auto system = hs::make_system(ec);
+    auto *cs = dynamic_cast<core::ClusterServeSystem *>(system.get());
+    ASSERT_NE(cs, nullptr);
+    ASSERT_EQ(cs->num_replicas(), 2u);
+    engine::RunOptions opts;
+    opts.horizon = ec.horizon;
+    auto run = system->run(hs::make_trace(ec), opts);
+    ASSERT_EQ(run.metrics.num_finished, 1200u);
+    std::uint64_t dispatches = 0, reschedules = 0, migrations = 0,
+                  backups = 0;
+    for (std::size_t k = 0; k < cs->num_replicas(); ++k) {
+        core::Pod &pod = cs->pod(k);
+        EXPECT_GT(pod.coordinator().reschedules(), 0u) << "pod " << k;
+        dispatches += pod.coordinator().dispatches();
+        reschedules += pod.coordinator().reschedules();
+        migrations += pod.migration().completed();
+        backups += pod.backup().backups_taken();
+    }
+    EXPECT_EQ(cs->total_dispatches(), dispatches);
+    EXPECT_EQ(cs->total_reschedules(), reschedules);
+    EXPECT_EQ(cs->total_migrations(), migrations);
+    EXPECT_EQ(cs->total_backups(), backups);
 }
 
 // ---------------------------------------------------------------------

@@ -569,7 +569,7 @@ TEST(ClusterCtrl, DirectoryTracksPodBackupsCoherently)
     for (std::uint64_t id : dir.ids()) {
         const auto *e = dir.lookup(id);
         ASSERT_NE(e, nullptr);
-        EXPECT_LT(e->pod, sys.num_pods());
+        EXPECT_LT(e->pod, sys.num_replicas());
         EXPECT_GT(e->tokens, 0u);
     }
     if (run.metrics.fault_redispatches > 0) {

@@ -161,7 +161,7 @@ TEST(Profiler, DefaultPodCalibrationIsPinned)
 {
     core::WindServeConfig cfg;
     core::WindServeSystem sys(cfg);
-    core::Profiler &p = sys.scheduler().prefill_profiler();
+    core::Profiler &p = sys.pod(0).prefill_profiler();
     EXPECT_EQ(p.predict_prefill(128.0), 0x1.38af451788fcap-6);
     EXPECT_EQ(p.predict_prefill(1000.0), 0x1.6ec7d80871962p-4);
     EXPECT_EQ(p.predict_prefill(4096.0), 0x1.8ea9f35399808p-2);

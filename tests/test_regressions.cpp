@@ -288,7 +288,7 @@ TEST(Regression, MigrationsNeverLeakSourceBlocks)
     ASSERT_NE(ws, nullptr);
     for (const auto &r : rr.requests)
         ASSERT_TRUE(r.finished());
-    EXPECT_GT(ws->migration().completed(), 0u);
+    EXPECT_GT(ws->pod(0).migration().completed(), 0u);
     EXPECT_EQ(ws->decode(0).blocks().used_blocks(), 0u);
     EXPECT_EQ(ws->prefill(0).blocks().used_blocks(), 0u);
 }

@@ -102,7 +102,7 @@ TEST(WindServeSystem, DispatchEngagesUnderOverload)
     for (const auto &r : rr.requests)
         dispatched += r.prefill_dispatched;
     EXPECT_GT(dispatched, 10u);
-    EXPECT_GT(sys.scheduler().coordinator().dispatches(), 10u);
+    EXPECT_GT(sys.pod(0).coordinator().dispatches(), 10u);
 }
 
 TEST(WindServeSystem, NoDispatchAblationNeverDispatches)
