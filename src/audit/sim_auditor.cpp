@@ -14,6 +14,13 @@ using workload::Request;
 using workload::RequestId;
 using workload::RequestState;
 
+namespace {
+
+/** Slack for floating-point time/byte comparisons, seconds. */
+constexpr double kTimeTolerance = 1e-6;
+
+} // namespace
+
 SimAuditor::SimAuditor(const sim::Simulator &sim, AuditConfig cfg)
     : sim_(sim), cfg_(std::move(cfg)), last_time_(sim.now())
 {}
@@ -23,7 +30,7 @@ SimAuditor::tick()
 {
     ++events_;
     double now = sim_.now();
-    if (now + cfg_.time_tolerance < last_time_) {
+    if (now + kTimeTolerance < last_time_) {
         std::ostringstream os;
         os << "event at t=" << now << " after t=" << last_time_;
         violate("monotonic-time", 0, os.str());
@@ -36,7 +43,8 @@ SimAuditor::violate(std::string invariant, RequestId req, std::string detail)
 {
     Violation v{std::move(invariant), std::move(detail), sim_.now(), req};
     ++total_violations_;
-    if (violations_.size() < cfg_.max_violations)
+    // With fail_fast off, store the first 64 violations.
+    if (violations_.size() < 64)
         violations_.push_back(v);
     WS_LOG_AT(Error, "audit", sim_.now())
         << v.invariant << ": " << v.detail << " (req " << v.req << ")";
@@ -291,7 +299,7 @@ SimAuditor::on_transfer_complete(const std::string &chan, std::uint64_t id,
     // completion by up to the lookahead window.
     double elapsed = end - begun;
     double min_time = latency + bytes / bandwidth;
-    double ttol = cfg_.time_tolerance + 1e-9 * std::max(elapsed, min_time);
+    double ttol = kTimeTolerance + 1e-9 * std::max(elapsed, min_time);
     if (elapsed + ttol < min_time) {
         std::ostringstream os;
         os << chan << ": transfer id " << id << " moved " << bytes
@@ -541,7 +549,7 @@ SimAuditor::finish_run(const std::vector<Request> &requests,
             };
             for (double s : stamps) {
                 if (s != workload::kNoTime &&
-                    s + cfg_.time_tolerance < r.arrival_time) {
+                    s + kTimeTolerance < r.arrival_time) {
                     violate("lifecycle-timestamps", r.id,
                             "stamp predates arrival on crash survivor");
                 }
@@ -572,7 +580,7 @@ SimAuditor::finish_run(const std::vector<Request> &requests,
         for (std::size_t i = 1; i < 8; ++i) {
             if (chain[i] == workload::kNoTime)
                 continue;
-            if (chain[i] + cfg_.time_tolerance < prev) {
+            if (chain[i] + kTimeTolerance < prev) {
                 std::ostringstream os;
                 os << names[i] << "=" << chain[i] << " before "
                    << prev_name << "=" << prev;
@@ -587,7 +595,7 @@ SimAuditor::finish_run(const std::vector<Request> &requests,
                     "finished without a finish_time");
         } else {
             double e2e = r.finish_time - r.arrival_time;
-            double tol = cfg_.time_tolerance + 1e-9 * std::abs(e2e);
+            double tol = kTimeTolerance + 1e-9 * std::abs(e2e);
             if (std::abs(phase_sum - e2e) > tol) {
                 std::ostringstream os;
                 os << "phase durations sum to " << phase_sum

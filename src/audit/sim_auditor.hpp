@@ -59,12 +59,9 @@ namespace windserve::audit {
 /** Tunables of one auditor. */
 struct AuditConfig {
     /** Throw InvariantViolation on the first violation (default). When
-     *  off, violations accumulate for report() instead. */
+     *  off, violations accumulate for report() instead (the first 64
+     *  are stored). */
     bool fail_fast = true;
-    /** Cap on stored violations when fail_fast is off. */
-    std::size_t max_violations = 64;
-    /** Slack for floating-point time/byte comparisons, seconds. */
-    double time_tolerance = 1e-6;
     /** Seed that reproduces this run (stamped into the repro line). */
     std::uint64_t repro_seed = 0;
     /** Config token for the repro line (e.g. "windserve"). */

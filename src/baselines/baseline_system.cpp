@@ -24,9 +24,9 @@ BaselineSystem::BaselineSystem(DistServeConfig cfg) : name_("DistServe")
                                     cfg.decode_parallelism.num_gpus());
 
     model::CostModel prefill_cost(cfg.model, topo.gpu(0),
-                                  cfg.prefill_parallelism, cfg.cost_params);
+                                  cfg.prefill_parallelism);
     model::CostModel decode_cost(cfg.model, topo.gpu(0),
-                                 cfg.decode_parallelism, cfg.cost_params);
+                                 cfg.decode_parallelism);
     hw::Link pd_link = topo.best_link(placement.prefill, placement.decode);
 
     // Replicas share one node-local placement: each models its own PD
@@ -41,14 +41,12 @@ BaselineSystem::BaselineSystem(DistServeConfig cfg) : name_("DistServe")
         transfer::InstancePair &p = pairs_[i];
         p.prefill = std::make_unique<engine::Instance>(
             sim_,
-            engine::instance_config(cfg, prefix + "prefill",
-                                    engine::InstanceRole::Prefill),
+            cfg.instance(prefix + "prefill", engine::InstanceRole::Prefill),
             prefill_cost, seed_rng.fork(),
             topo.host_link(placement.prefill.front()));
         p.decode = std::make_unique<engine::Instance>(
             sim_,
-            engine::instance_config(cfg, prefix + "decode",
-                                    engine::InstanceRole::Decode),
+            cfg.instance(prefix + "decode", engine::InstanceRole::Decode),
             decode_cost, seed_rng.fork(),
             topo.host_link(placement.decode.front()));
 
@@ -78,14 +76,12 @@ BaselineSystem::BaselineSystem(VllmConfig cfg) : name_("vLLM")
             std::to_string(topo.num_gpus()) + " GPUs");
 
     sim::Rng seed_rng(cfg.seed);
-    model::CostModel cost(cfg.model, topo.gpu(0), cfg.engine_parallelism,
-                          cfg.cost_params);
+    model::CostModel cost(cfg.model, topo.gpu(0), cfg.engine_parallelism);
 
     pairs_.resize(cfg.num_engines);
     for (std::size_t e = 0; e < pairs_.size(); ++e) {
-        engine::InstanceConfig icfg = engine::instance_config(
-            cfg, "vllm/engine" + std::to_string(e),
-            engine::InstanceRole::Colocated);
+        engine::InstanceConfig icfg = cfg.instance(
+            "vllm/engine" + std::to_string(e), engine::InstanceRole::Colocated);
         icfg.chunk_size = cfg.chunk_size;
         icfg.chunked_prefill = true;
         pairs_[e].prefill = std::make_unique<engine::Instance>(

@@ -38,52 +38,22 @@
 namespace windserve::baselines {
 
 /** Configuration of a DistServe deployment. */
-struct DistServeConfig {
-    model::ModelSpec model = model::ModelSpec::opt_13b();
-    hw::TopologyConfig topology;
+struct DistServeConfig : engine::SystemConfig {
     model::ParallelismConfig prefill_parallelism{2, 1};
     model::ParallelismConfig decode_parallelism{2, 1};
-    model::CostModelParams cost_params;
-    std::size_t block_size = 16;
-    std::size_t max_batch_size = 256;
-    std::size_t max_prefill_tokens = 4096;
     /** Independent prefill/decode pairs (multi-node pass-through). */
     std::size_t num_replicas = 1;
-    /** Preempt to host memory on KV exhaustion (park when disabled). */
-    bool swap_enabled = true;
-    /** Host DRAM budget per instance's swap pool. */
-    double host_memory_bytes = 256e9;
-    /** Override the derived per-instance KV capacity (tokens); 0 keeps
-     *  the cost-model value. */
-    std::size_t kv_capacity_tokens_override = 0;
-    double exec_noise_sigma = 0.03;
-    std::uint64_t seed = 7;
 };
 
 /** Configuration of the co-located vLLM deployment (chunked prefill
  *  always on). */
-struct VllmConfig {
-    model::ModelSpec model = model::ModelSpec::opt_13b();
-    hw::TopologyConfig topology;
+struct VllmConfig : engine::SystemConfig {
     /** Parallelism of each engine (TP within an NVLink pair). */
     model::ParallelismConfig engine_parallelism{2, 1};
     /** Number of identical engines. */
     std::size_t num_engines = 2;
-    model::CostModelParams cost_params;
-    std::size_t block_size = 16;
-    std::size_t max_batch_size = 256;
-    std::size_t max_prefill_tokens = 4096;
     /** Per-iteration prefill token budget (vLLM max_num_batched_tokens). */
     std::size_t chunk_size = 2048;
-    /** Preempt to host memory on KV exhaustion (park when disabled). */
-    bool swap_enabled = true;
-    /** Host DRAM budget per engine's swap pool. */
-    double host_memory_bytes = 256e9;
-    /** Override the derived per-engine KV capacity (tokens); 0 keeps
-     *  the cost-model value. */
-    std::size_t kv_capacity_tokens_override = 0;
-    double exec_noise_sigma = 0.03;
-    std::uint64_t seed = 7;
 };
 
 /** See file comment. */

@@ -42,7 +42,6 @@
  */
 #pragma once
 
-#include <map>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -58,7 +57,11 @@
 
 namespace windserve::core {
 
-/** Shape and policy of a sharded WindServe deployment. */
+/**
+ * Shape and policy of a sharded WindServe deployment. Cross-pod decode
+ * offload and crash re-dispatch are on whenever there are two or more
+ * pods; their LP engine runs 1 ms bounded-lag windows (see replay()).
+ */
 struct ClusterConfig {
     /** Per-pod template. `pod.topology` describes ONE node (its
      *  num_nodes / inter_node_links are overridden per pod); `pod.seed`
@@ -72,26 +75,12 @@ struct ClusterConfig {
      *  against num_nodes). */
     std::vector<hw::InterNodeLink> inter_node_links;
 
-    /** Allow cross-pod decode offload / crash re-dispatch at all. */
-    bool allow_cross_pod = true;
     /** Local decode KV fraction above which prefill completions are
      *  offered to other pods. In [0, 1] and >= offload_lowwater. */
     double offload_highwater = 0.85;
     /** Remote decode KV fraction below which a pod accepts offloads.
      *  In [0, 1]. */
     double offload_lowwater = 0.60;
-
-    /**
-     * Bounded-lag window quantum (simulated seconds) for the LP
-     * engine: pods advance in windows of max(lookahead, lp_window)
-     * between hub events. Results depend on the value: hub handlers
-     * see pod state up to one window ahead, so the quantum is part of
-     * the simulated semantics. (A 2x2 cluster of 300 requests
-     * fires 9,398 events at 0, 0.5 ms and 1 ms, but 8,609 at 10 ms and
-     * 9,404 at 100 ms, with different TTFT and makespan.) Any value
-     * up to the lookahead floor, 0 included, runs windows of exactly
-     * the floor. Negative or non-finite values are rejected. */
-    double lp_window = 1e-3;
 
     /**
      * Replicated control plane (ctrl/control_plane.hpp). With
@@ -120,8 +109,8 @@ double cluster_lookahead_floor(const hw::Topology &topo);
 class ClusterServeSystem : public engine::ServingSystem
 {
   public:
-    /** @throws std::invalid_argument naming the field when lp_window
-     *  or an offload watermark is out of range (see ClusterConfig). */
+    /** @throws std::invalid_argument naming the field when an offload
+     *  watermark is out of range (see ClusterConfig). */
     explicit ClusterServeSystem(ClusterConfig cfg);
 
     std::string name() const override { return "WindServe"; }
@@ -229,9 +218,6 @@ class ClusterServeSystem : public engine::ServingSystem
     void install_fault_hooks(fault::FaultInjector &inj);
     /** Pod entry: re-home a victim whose pod is fully down. */
     bool maybe_redispatch_remote(Pod &src, workload::Request *r);
-    /** Pod entry: sweep cross-pod copies out of a crashed prefill. */
-    void sweep_cross_transfers(Pod &src,
-                               std::vector<workload::Request *> &victims);
 
     std::size_t node_of_pod(std::size_t k) const
     {
@@ -273,13 +259,6 @@ class ClusterServeSystem : public engine::ServingSystem
      *  kNoHome before admission and after retirement. */
     std::vector<std::uint32_t> home_pod_;
     static constexpr std::uint32_t kNoHome = ~0u;
-    /** Cross-pod KV copies in flight: request id -> (src, dst) pod. */
-    struct CrossXfer {
-        workload::Request *r;
-        std::size_t src;
-        std::size_t dst;
-    };
-    std::map<workload::RequestId, CrossXfer> cross_transferring_;
     std::size_t outstanding_ = 0;
     std::uint64_t cross_offloads_ = 0;
     std::uint64_t cross_redispatches_ = 0;

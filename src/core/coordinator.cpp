@@ -35,8 +35,8 @@ Coordinator::compute_budget(const model::CostModel &decode_cost,
         cfg_.enable_dispatch = false;
         return;
     }
-    // Largest N whose SBD prefill stream fits the TTFT-fraction budget.
-    double limit = cfg_.budget_ttft_fraction * ttft_slo;
+    // Largest N whose SBD prefill stream fits half the TTFT SLO.
+    double limit = 0.5 * ttft_slo;
     std::size_t lo = 0, hi = 65536;
     while (lo < hi) {
         std::size_t mid = (lo + hi + 1) / 2;
@@ -180,9 +180,10 @@ Coordinator::maybe_reschedule(engine::Instance &decode,
         note(0, false, "", "migration_cap", 0.0);
         return false;
     }
-    // Hosting too many migrated decodes keeps the prefill instance in
-    // chunked mode and starves TTFT; stop rescheduling until they drain.
-    if (resident >= cfg_.max_migrated_resident) {
+    // At most 8 migrated decodes reside at the prefill instance: more
+    // keep it in chunked mode, degrading prefill throughput more than
+    // they relieve decode memory; stop rescheduling until they drain.
+    if (resident >= 8) {
         note(0, false, "", "resident_cap", 0.0);
         return false;
     }

@@ -36,17 +36,11 @@ struct CoordinatorConfig {
      * "derive from SLOs at startup" via compute_budget().
      */
     std::size_t budget_tokens = 0;
-    /**
-     * Fraction of the TTFT SLO an SBD prefill stream may occupy when
-     * deriving the budget.
-     */
-    double budget_ttft_fraction = 0.5;
     /** Decode KV-block occupancy that triggers Dynamic Rescheduling. */
     double resched_occupancy_trigger = 0.92;
     /**
      * Free-token reserve the decode instance keeps for decode growth.
-     * The serving system raises this to a fraction of the decode KV
-     * capacity at startup (see WindServeConfig::dispatch_reserve_fraction)
+     * The pod raises this to 6% of the decode KV capacity at startup
      * so Dynamic Prefill Dispatch backs off BEFORE rescheduling triggers.
      */
     std::size_t dispatch_kv_reserve_tokens = 2048;
@@ -57,12 +51,6 @@ struct CoordinatorConfig {
     bool enable_backup = true;
     /** Max concurrent migrations. */
     std::size_t max_concurrent_migrations = 2;
-    /**
-     * Cap on migrated decode requests resident at the prefill instance:
-     * beyond this, further rescheduling would degrade prefill throughput
-     * (chunked mode) more than it relieves decode memory.
-     */
-    std::size_t max_migrated_resident = 8;
 };
 
 /** Where a new request's prefill should run. */
@@ -79,8 +67,8 @@ class Coordinator
 
     /**
      * Derive the assist budget from SLOs: the largest prefill token
-     * count whose SBD stream on the decode instance stays within
-     * budget_ttft_fraction * ttft_slo, provided the interference-slowed
+     * count whose SBD stream on the decode instance stays within half
+     * of @p ttft_slo, provided the interference-slowed
      * decode iteration still meets the TPOT SLO (paper: "limiting the
      * maximum number of prefill tokens that do not exceed the TPOT SLO
      * in a single forward pass", determined "through simulation and

@@ -35,18 +35,10 @@ validate(const WindServeConfig &cfg, std::size_t index)
     if (!std::isfinite(co.thrd) || co.thrd < 0.0)
         fail("coordinator.thrd must be finite and >= 0, got " +
              std::to_string(co.thrd));
-    if (!(co.budget_ttft_fraction > 0.0 && co.budget_ttft_fraction <= 1.0))
-        fail("coordinator.budget_ttft_fraction must be in (0, 1], got " +
-             std::to_string(co.budget_ttft_fraction));
-    for (auto [name, v] :
-         {std::pair{"dispatch_reserve_fraction",
-                    cfg.dispatch_reserve_fraction},
-          std::pair{"coordinator.resched_occupancy_trigger",
-                    co.resched_occupancy_trigger}}) {
-        if (!(v >= 0.0 && v <= 1.0))
-            fail(std::string(name) + " must be in [0, 1], got " +
-                 std::to_string(v));
-    }
+    if (!(co.resched_occupancy_trigger >= 0.0 &&
+          co.resched_occupancy_trigger <= 1.0))
+        fail("coordinator.resched_occupancy_trigger must be in [0, 1], "
+             "got " + std::to_string(co.resched_occupancy_trigger));
 }
 
 } // namespace
@@ -65,23 +57,23 @@ Pod::Pod(sim::Simulator &sim, const WindServeConfig &cfg,
         cfg.decode_parallelism.num_gpus());
 
     model::CostModel prefill_cost(cfg.model, topo_.gpu(0),
-                                  cfg.prefill_parallelism, cfg.cost_params);
+                                  cfg.prefill_parallelism);
     model::CostModel decode_cost(cfg.model, topo_.gpu(0),
-                                 cfg.decode_parallelism, cfg.cost_params);
+                                 cfg.decode_parallelism);
 
-    engine::InstanceConfig pcfg = engine::instance_config(
-        cfg, name_prefix + "prefill", engine::InstanceRole::Prefill);
+    engine::InstanceConfig pcfg =
+        cfg.instance(name_prefix + "prefill", engine::InstanceRole::Prefill);
     // Migrated decodes trigger chunked prefill here (§3.3). Large
     // chunks keep prefill throughput high; the few migrated decodes are
     // long-context requests with TPOT slack.
-    pcfg.chunk_size = cfg.prefill_chunk_size;
+    pcfg.chunk_size = 2048;
     pcfg.chunked_prefill = true;
     pair_.prefill = std::make_unique<engine::Instance>(
         sim_, pcfg, prefill_cost, seed_rng.fork(),
         topo_.host_link(placement.prefill.front()));
 
-    engine::InstanceConfig dcfg = engine::instance_config(
-        cfg, name_prefix + "decode", engine::InstanceRole::Decode);
+    engine::InstanceConfig dcfg =
+        cfg.instance(name_prefix + "decode", engine::InstanceRole::Decode);
     dcfg.chunk_size = cfg.chunk_size;
     dcfg.stream_based_disaggregation = cfg.enable_sbd;
     pair_.decode = std::make_unique<engine::Instance>(
@@ -101,13 +93,12 @@ Pod::Pod(sim::Simulator &sim, const WindServeConfig &cfg,
     backup_ = std::make_unique<transfer::BackupManager>(
         sim_, *pair_.xfer, decode, prefill, backup_registry_, cfg.backup);
 
-    // Dispatch must back off before the decode instance is memory-tight;
-    // scale the KV reserve with the actual capacity.
+    // Dispatch must back off before the decode instance is memory-tight:
+    // reserve 6% of the actual decode KV capacity from dispatch.
     CoordinatorConfig coord_cfg = cfg.coordinator;
     coord_cfg.dispatch_kv_reserve_tokens = std::max(
         coord_cfg.dispatch_kv_reserve_tokens,
-        static_cast<std::size_t>(cfg.dispatch_reserve_fraction *
-                                 decode_cost.kv_capacity_tokens()));
+        static_cast<std::size_t>(0.06 * decode_cost.kv_capacity_tokens()));
     coordinator_ = std::make_unique<Coordinator>(coord_cfg, prefill_profiler_);
     coordinator_->bind_clock(&sim_);
     // Offline calibration of the prefill Profiler, then the assist
@@ -254,17 +245,6 @@ Pod::hold_for_offload(Request *r)
     pair_.transferring[r->id] = r;
 }
 
-workload::Request *
-Pod::take_held_offload(workload::RequestId id)
-{
-    auto it = pair_.transferring.find(id);
-    if (it == pair_.transferring.end())
-        return nullptr;
-    Request *r = it->second;
-    pair_.transferring.erase(it);
-    return r;
-}
-
 void
 Pod::notify_decode_ready(Request *r)
 {
@@ -365,7 +345,6 @@ Pod::on_instance_crashed(engine::Instance &inst,
         backup_->on_target_crash();
         backup_registry_.clear();
         pair_.sweep(victims);
-        cluster_.sweep_cross_transfers(*this, victims);
     } else {
         backup_->on_source_crash();
         for (Request *r : migration_->cancel_active())

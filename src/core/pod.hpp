@@ -9,14 +9,13 @@
  * stall-free rescheduling, proactive backups) on one NVLink island's
  * worth of GPUs. ClusterServeSystem is the only owner: it builds one
  * pod per (node, slot), and the pod reaches the cluster only through
- * five private cluster entry points:
+ * four private cluster entry points:
  *  - maybe_offload: a local prefill completed; true when the cluster
  *    ships the KV over the NIC to another pod instead of the local
- *    prefill->decode copy;
+ *    prefill->decode copy (the request stays in this pod's hand-off
+ *    ledger until the copy lands, so a prefill crash sweeps it);
  *  - maybe_redispatch_remote: a crash victim cannot be re-dispatched
  *    locally; true when the cluster re-routes it to another pod;
- *  - sweep_cross_transfers: the prefill instance crashed; the cluster
- *    sweeps the cross-pod KV copies out of this pod still in flight;
  *  - pod_finished: a request retired; the cluster releases its
  *    balancer load on the hub timeline;
  *  - decode_ready: a request reached a decode queue (or finished),
@@ -41,16 +40,13 @@
 namespace windserve::core {
 
 /** Full configuration of a WindServe deployment (one pod's worth). */
-struct WindServeConfig {
-    model::ModelSpec model = model::ModelSpec::opt_13b();
-    hw::TopologyConfig topology;
+struct WindServeConfig : engine::SystemConfig {
     model::ParallelismConfig prefill_parallelism{2, 1};
     model::ParallelismConfig decode_parallelism{2, 1};
-    model::CostModelParams cost_params;
 
     CoordinatorConfig coordinator;
     transfer::KvTransferConfig transfer{
-        transfer::TransferPolicy::Overlapped, 0.05, 0.25, ""};
+        transfer::TransferPolicy::Overlapped, ""};
     transfer::MigrationConfig migration;
     transfer::BackupManager::Config backup;
 
@@ -58,29 +54,11 @@ struct WindServeConfig {
     double ttft_slo = 0.25;
     double tpot_slo = 0.10;
 
-    std::size_t block_size = 16;
-    std::size_t max_batch_size = 256;
-    std::size_t max_prefill_tokens = 4096;
+    /** The decode instance's chunk size (InstanceConfig::chunk_size). */
     std::size_t chunk_size = 512;
-    /** Chunk size the prefill instance uses while hosting migrated
-     *  decodes (large = keep prefill throughput). */
-    std::size_t prefill_chunk_size = 2048;
-    /** Fraction of decode KV capacity reserved from dispatch. */
-    double dispatch_reserve_fraction = 0.06;
 
     /** Stream-based disaggregation on the decode instance (§3.4). */
     bool enable_sbd = true;
-
-    /** Preempt to host memory on KV exhaustion (park when disabled). */
-    bool swap_enabled = true;
-    /** Host DRAM budget per instance's swap pool. */
-    double host_memory_bytes = 256e9;
-    /** Override the derived per-instance KV capacity (tokens); 0 keeps
-     *  the cost-model value. For tests and capacity studies. */
-    std::size_t kv_capacity_tokens_override = 0;
-
-    double exec_noise_sigma = 0.03;
-    std::uint64_t seed = 7;
 };
 
 class ClusterServeSystem;
@@ -96,12 +74,10 @@ class Pod
      * the pod's id within its cluster, @p cluster its owner.
      *
      * @throws std::invalid_argument naming the pod (or instance) and
-     *         the field when an SLO is not finite and > 0,
-     *         dispatch_reserve_fraction or the coordinator's
-     *         resched_occupancy_trigger is outside [0, 1], its thrd is
-     *         not finite and >= 0, its budget_ttft_fraction is outside
-     *         (0, 1], or an instance-level field is out of range (see
-     *         Instance).
+     *         the field when an SLO is not finite and > 0, the
+     *         coordinator's resched_occupancy_trigger is outside [0, 1],
+     *         its thrd is not finite and >= 0, or an instance-level
+     *         field is out of range (see Instance).
      */
     Pod(sim::Simulator &sim, const WindServeConfig &cfg,
         ClusterServeSystem &cluster, std::string name_prefix,
@@ -138,20 +114,26 @@ class Pod
 
     /**
      * Park a freshly prefilled request while the owner decides where
-     * its decode runs (cross-pod offload control latency). The request
-     * joins the pair's hand-off ledger, so a prefill crash during the
-     * decision window sweeps it into the victim set like any other
-     * in-flight hand-off.
+     * its decode runs and ships its KV (cross-pod offload). The request
+     * joins the pair's hand-off ledger, so a prefill crash before the
+     * copy lands sweeps it into the victim set like any other in-flight
+     * hand-off.
      */
     void hold_for_offload(workload::Request *r);
 
-    /**
-     * Claim a request parked by hold_for_offload(). Returns nullptr
-     * when the hold no longer exists (the prefill crashed and the
-     * victim was swept/re-dispatched meanwhile) — the offload decision
-     * must then be abandoned.
-     */
-    workload::Request *take_held_offload(workload::RequestId id);
+    /** True while a hold_for_offload() of @p id is parked (false once
+     *  a prefill crash swept it). */
+    bool holds_offload(workload::RequestId id) const
+    {
+        return pair_.transferring.count(id) != 0;
+    }
+
+    /** Drop the hold of @p id once its cross-pod copy landed; false
+     *  when a prefill crash swept it meanwhile. */
+    bool take_held_offload(workload::RequestId id)
+    {
+        return pair_.transferring.erase(id) != 0;
+    }
 
     /**
      * Hand @p at to every component of the pod. With at.faults set,

@@ -8,6 +8,22 @@
 
 namespace windserve::ctrl {
 
+namespace {
+
+/** Leader AppendEntries period, seconds. */
+constexpr double kHeartbeatInterval = 0.05;
+/** Election timeout drawn uniformly from [min, max) per arm. */
+constexpr double kElectionTimeoutMin = 0.15;
+constexpr double kElectionTimeoutMax = 0.30;
+/** Base size of a protocol message on the wire. */
+constexpr double kMsgBytes = 1024.0;
+/** Additional bytes per replicated log entry. */
+constexpr double kEntryBytes = 256.0;
+/** Max entries shipped per AppendEntries. */
+constexpr std::size_t kMaxBatch = 16;
+
+} // namespace
+
 ControlPlane::ControlPlane(sim::Simulator &sim, ControlPlaneConfig cfg)
     : sim_(sim), cfg_(std::move(cfg))
 {
@@ -168,7 +184,7 @@ void ControlPlane::send(std::size_t from, std::size_t to,
     ++messages_sent_;
     sim::SourceScope src(sim_, "ctrl");
     replicas_[to]->ingress->submit(
-        cfg_.msg_bytes + extra_bytes,
+        kMsgBytes + extra_bytes,
         [this, to, deliver = std::move(deliver)] {
             if (stopped_ || !alive(to)) {
                 ++messages_dropped_;
@@ -186,8 +202,7 @@ void ControlPlane::arm_election_timer(std::size_t k)
         return;
     Replica &r = *replicas_[k];
     sim_.cancel(r.election_timer);
-    double delay =
-        r.rng.uniform(cfg_.election_timeout_min, cfg_.election_timeout_max);
+    double delay = r.rng.uniform(kElectionTimeoutMin, kElectionTimeoutMax);
     sim::SourceScope src(sim_, "ctrl");
     r.election_timer =
         sim_.schedule(delay, [this, k] { on_election_timeout(k); });
@@ -306,7 +321,7 @@ void ControlPlane::arm_heartbeat(std::size_t k)
     sim_.cancel(r.heartbeat_timer);
     sim::SourceScope src(sim_, "ctrl");
     r.heartbeat_timer =
-        sim_.schedule(cfg_.heartbeat_interval, [this, k] { on_heartbeat(k); });
+        sim_.schedule(kHeartbeatInterval, [this, k] { on_heartbeat(k); });
 }
 
 void ControlPlane::on_heartbeat(std::size_t k)
@@ -351,8 +366,8 @@ void ControlPlane::send_append_to(std::size_t k, std::size_t peer)
     std::size_t prev = r.next_index[peer] - 1;
     std::uint64_t prev_term = r.log.term_at(prev);
     std::vector<LogEntry> entries =
-        r.log.suffix(r.next_index[peer], cfg_.max_batch);
-    double extra = cfg_.entry_bytes * static_cast<double>(entries.size());
+        r.log.suffix(r.next_index[peer], kMaxBatch);
+    double extra = kEntryBytes * static_cast<double>(entries.size());
     std::uint64_t term = r.elect.term();
     std::size_t commit = r.commit_index;
     send(k, peer, extra,

@@ -64,17 +64,6 @@ struct ControlPlaneConfig {
     /** Scheduler replicas. <= 1 means no control plane is built — the
      *  owner keeps the historical immortal-coordinator path. */
     std::size_t replicas = 1;
-    /** Leader AppendEntries period, seconds. */
-    double heartbeat_interval = 0.05;
-    /** Election timeout drawn uniformly from [min, max) per arm. */
-    double election_timeout_min = 0.15;
-    double election_timeout_max = 0.30;
-    /** Base size of a protocol message on the wire. */
-    double msg_bytes = 1024.0;
-    /** Additional bytes per replicated log entry. */
-    double entry_bytes = 256.0;
-    /** Max entries shipped per AppendEntries. */
-    std::size_t max_batch = 16;
     /** RNG seed; 0 lets the owner derive one from the run seed. */
     std::uint64_t seed = 0;
     /** Link shape of each replica's ingress channel. bandwidth <= 0

@@ -28,6 +28,22 @@ to_string(InstanceRole role)
     return "unknown";
 }
 
+InstanceConfig
+SystemConfig::instance(std::string name, InstanceRole role) const
+{
+    InstanceConfig ic;
+    ic.name = std::move(name);
+    ic.role = role;
+    ic.block_size = block_size;
+    ic.max_batch_size = max_batch_size;
+    ic.max_prefill_tokens = max_prefill_tokens;
+    ic.exec_noise_sigma = exec_noise_sigma;
+    ic.swap_enabled = swap_enabled;
+    ic.host_memory_bytes = host_memory_bytes;
+    ic.kv_capacity_tokens_override = kv_capacity_tokens_override;
+    return ic;
+}
+
 namespace {
 
 /** @return @p cfg unchanged; throws std::invalid_argument naming the
@@ -43,8 +59,6 @@ validated(InstanceConfig cfg)
                            std::pair{"max_batch_size", cfg.max_batch_size},
                            std::pair{"max_prefill_tokens",
                                      cfg.max_prefill_tokens},
-                           std::pair{"max_prefill_requests",
-                                     cfg.max_prefill_requests},
                            std::pair{"chunk_size", cfg.chunk_size}}) {
         if (v < 1)
             fail(std::string(name) + " must be >= 1, got 0");
@@ -279,8 +293,9 @@ Instance::try_start_prefill_slots()
     for (std::size_t s = 0; s < slots_.size(); ++s) {
         if (slot_busy_[s] || prefill_q_.empty())
             continue;
+        constexpr std::size_t kMaxPrefillRequests = 64;
         PrefillBatchLimits limits{cfg_.max_prefill_tokens,
-                                  cfg_.max_prefill_requests};
+                                  kMaxPrefillRequests};
         PrefillBatch batch = form_prefill_batch(prefill_q_, limits, blocks_);
         if (batch.empty())
             return; // KV pressure: wait for blocks
@@ -369,7 +384,6 @@ Instance::try_start_sbd_stream()
     sbd_batch_ = std::move(batch);
     sbd_tokens_ = tokens;
     sbd_active_ = true;
-    sbd_end_ = sim_.now() + dur;
     sim_.schedule(dur, [this, e = epoch_] {
         if (e == epoch_)
             complete_sbd_stream();

@@ -32,6 +32,7 @@
 #include "engine/batch.hpp"
 #include "engine/execution.hpp"
 #include "engine/local_scheduler.hpp"
+#include "hw/topology.hpp"
 #include "hw/transfer_engine.hpp"
 #include "kvcache/block_manager.hpp"
 #include "kvcache/swap_pool.hpp"
@@ -60,7 +61,6 @@ struct InstanceConfig {
     std::size_t max_batch_size = 256;
     /** Token budget of one prefill forward pass. */
     std::size_t max_prefill_tokens = 4096;
-    std::size_t max_prefill_requests = 64;
     /** Chunked-prefill chunk size (vLLM default 512). */
     std::size_t chunk_size = 512;
     /** Use chunked prefill whenever prefill and decode jobs co-exist. */
@@ -80,24 +80,29 @@ struct InstanceConfig {
     std::size_t kv_capacity_tokens_override = 0;
 };
 
-/** An instance of @p cfg (a serving system's config: WindServe's,
- *  DistServe's or vLLM's) with the seven knobs they all share. */
-template <typename Config>
-InstanceConfig
-instance_config(const Config &cfg, std::string name, InstanceRole role)
-{
-    InstanceConfig ic;
-    ic.name = std::move(name);
-    ic.role = role;
-    ic.block_size = cfg.block_size;
-    ic.max_batch_size = cfg.max_batch_size;
-    ic.max_prefill_tokens = cfg.max_prefill_tokens;
-    ic.exec_noise_sigma = cfg.exec_noise_sigma;
-    ic.swap_enabled = cfg.swap_enabled;
-    ic.host_memory_bytes = cfg.host_memory_bytes;
-    ic.kv_capacity_tokens_override = cfg.kv_capacity_tokens_override;
-    return ic;
-}
+/**
+ * The knobs every serving system (WindServe, DistServe, vLLM) shares:
+ * the model, the hardware and what each of its instances is sized to.
+ */
+struct SystemConfig {
+    model::ModelSpec model = model::ModelSpec::opt_13b();
+    hw::TopologyConfig topology;
+    std::size_t block_size = 16;
+    std::size_t max_batch_size = 256;
+    std::size_t max_prefill_tokens = 4096;
+    /** Preempt to host memory on KV exhaustion (park when disabled). */
+    bool swap_enabled = true;
+    /** Host DRAM budget per instance's swap pool. */
+    double host_memory_bytes = 256e9;
+    /** Override the derived per-instance KV capacity (tokens); 0 keeps
+     *  the cost-model value. For tests and capacity studies. */
+    std::size_t kv_capacity_tokens_override = 0;
+    double exec_noise_sigma = 0.03;
+    std::uint64_t seed = 7;
+
+    /** An instance @p name in @p role carrying the shared knobs. */
+    InstanceConfig instance(std::string name, InstanceRole role) const;
+};
 
 /** Hooks a serving system installs on its instances. */
 struct InstanceCallbacks {
@@ -335,7 +340,6 @@ class Instance
     bool sbd_active_ = false;
     std::vector<Request *> sbd_batch_;
     std::size_t sbd_tokens_ = 0;
-    double sbd_end_ = 0.0;
 
     std::vector<DecodeGroup> groups_;
 

@@ -254,9 +254,9 @@ FaultInjector::redispatch_request(workload::Request *r, double not_before)
     ++redispatches_;
     if (rec.attempts > 1)
         ++retries_;
-    double delay = policy().backoff_base *
-                   std::pow(policy().backoff_multiplier,
-                            static_cast<double>(rec.attempts - 1));
+    // Exponential backoff: 20 ms, doubling per additional attempt.
+    double delay =
+        0.02 * std::pow(2.0, static_cast<double>(rec.attempts - 1));
     double fire_at = std::max(now + delay, not_before + delay);
     sim::SourceScope src(sim_, "fault");
     sim_.schedule_at(fire_at, [this, r] {

@@ -47,15 +47,12 @@ struct FaultEvent {
     double param = 0.0;     ///< kind-specific (see FaultKind)
 };
 
-/** Bounded retry-with-backoff recovery policy. */
+/** Bounded retry-with-backoff recovery policy (the first re-dispatch
+ *  waits 20 ms, doubling per additional attempt). */
 struct RecoveryPolicy {
     /** Re-dispatch attempts per request before it is aborted. The
      *  count is cumulative across repeated crashes of one request. */
     std::size_t max_attempts = 6;
-    /** First re-dispatch delay (seconds). */
-    double backoff_base = 0.02;
-    /** Multiplier applied per additional attempt. */
-    double backoff_multiplier = 2.0;
     /** Prefill-KV transfer watchdog (seconds); a copy that has not
      *  landed by then is rerouted over the host-staged path. 0
      *  disables the watchdog. */

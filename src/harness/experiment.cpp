@@ -32,13 +32,26 @@ num_pods_of(const ExperimentConfig &cfg)
     return cfg.num_nodes * cfg.pods_per_node;
 }
 
+/** The knobs all three systems share, from @p cfg. */
+engine::SystemConfig
+system_config(const ExperimentConfig &cfg)
+{
+    engine::SystemConfig sys;
+    sys.model = cfg.scenario.model;
+    sys.topology = cfg.scenario.topology;
+    sys.swap_enabled = cfg.swap_enabled;
+    sys.host_memory_bytes = cfg.host_memory_bytes;
+    sys.kv_capacity_tokens_override = cfg.kv_capacity_tokens_override;
+    sys.seed = cfg.seed ^ 0x9e3779b97f4a7c15ULL;
+    return sys;
+}
+
 core::WindServeConfig
 make_windserve_config(const ExperimentConfig &cfg)
 {
     const Scenario &sc = cfg.scenario;
     core::WindServeConfig ws;
-    ws.model = sc.model;
-    ws.topology = sc.topology;
+    static_cast<engine::SystemConfig &>(ws) = system_config(cfg);
     ws.prefill_parallelism = sc.prefill_parallelism;
     ws.decode_parallelism = sc.decode_parallelism;
     ws.ttft_slo = sc.slo.ttft;
@@ -49,10 +62,6 @@ make_windserve_config(const ExperimentConfig &cfg)
     if (cfg.transfer_policy)
         ws.transfer.policy = *cfg.transfer_policy;
     ws.coordinator.enable_backup = cfg.enable_backup;
-    ws.swap_enabled = cfg.swap_enabled;
-    ws.host_memory_bytes = cfg.host_memory_bytes;
-    ws.kv_capacity_tokens_override = cfg.kv_capacity_tokens_override;
-    ws.seed = cfg.seed ^ 0x9e3779b97f4a7c15ULL;
     switch (cfg.system) {
       case SystemKind::WindServeNoSplit:
         ws.enable_sbd = false;
@@ -103,21 +112,15 @@ make_system(const ExperimentConfig &cfg)
         return make_windserve(cfg);
       case SystemKind::DistServe: {
         baselines::DistServeConfig ds;
-        ds.model = sc.model;
-        ds.topology = sc.topology;
+        static_cast<engine::SystemConfig &>(ds) = system_config(cfg);
         ds.prefill_parallelism = sc.prefill_parallelism;
         ds.decode_parallelism = sc.decode_parallelism;
-        ds.swap_enabled = cfg.swap_enabled;
-        ds.host_memory_bytes = cfg.host_memory_bytes;
-        ds.kv_capacity_tokens_override = cfg.kv_capacity_tokens_override;
         ds.num_replicas = num_pods_of(cfg);
-        ds.seed = cfg.seed ^ 0x9e3779b97f4a7c15ULL;
         return std::make_unique<baselines::BaselineSystem>(ds);
       }
       case SystemKind::Vllm: {
         baselines::VllmConfig vc;
-        vc.model = sc.model;
-        vc.topology = sc.topology;
+        static_cast<engine::SystemConfig &>(vc) = system_config(cfg);
         // vLLM places every engine on real GPUs (unlike DistServe's
         // per-replica placement), so a cluster run widens the topology
         // to the full node count.
@@ -127,10 +130,6 @@ make_system(const ExperimentConfig &cfg)
         vc.engine_parallelism = sc.prefill_parallelism;
         vc.num_engines = num_pods_of(cfg) * sc.num_gpus() /
                          sc.prefill_parallelism.num_gpus();
-        vc.swap_enabled = cfg.swap_enabled;
-        vc.host_memory_bytes = cfg.host_memory_bytes;
-        vc.kv_capacity_tokens_override = cfg.kv_capacity_tokens_override;
-        vc.seed = cfg.seed ^ 0x9e3779b97f4a7c15ULL;
         return std::make_unique<baselines::BaselineSystem>(vc);
       }
     }

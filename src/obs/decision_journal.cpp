@@ -1,7 +1,8 @@
 #include "obs/decision_journal.hpp"
 
 #include <algorithm>
-#include <cstdio>
+
+#include "obs/metric_registry.hpp"
 
 namespace windserve::obs {
 
@@ -40,22 +41,6 @@ to_string(DecisionKind k)
 }
 
 namespace {
-
-std::string
-fmt_num(double v)
-{
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%.17g", v);
-    for (int prec = 1; prec < 17; ++prec) {
-        char probe[32];
-        std::snprintf(probe, sizeof probe, "%.*g", prec, v);
-        double back = 0.0;
-        std::sscanf(probe, "%lf", &back);
-        if (back == v)
-            return probe;
-    }
-    return buf;
-}
 
 std::string
 json_escape(const std::string &s)

@@ -7,16 +7,12 @@
 
 namespace windserve::obs {
 
-namespace {
-
-/** Shortest exact decimal form of @p v (round-trips through strtod). */
 std::string
 fmt_num(double v)
 {
     char buf[32];
     std::snprintf(buf, sizeof buf, "%.17g", v);
-    // Prefer the shortest representation that still round-trips; keeps
-    // integers (queue depths, counts) rendering as "42" not "42.000...".
+    // Prefer the shortest representation that still round-trips.
     for (int prec = 1; prec < 17; ++prec) {
         char probe[32];
         std::snprintf(probe, sizeof probe, "%.*g", prec, v);
@@ -27,8 +23,6 @@ fmt_num(double v)
     }
     return buf;
 }
-
-} // namespace
 
 // ---------------------------------------------------------------------
 // Histogram

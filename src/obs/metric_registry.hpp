@@ -36,6 +36,10 @@ namespace windserve::obs {
 
 class TraceRecorder;
 
+/** Shortest exact decimal form of @p v (round-trips through strtod):
+ *  integers render as "42", not "42.000...". */
+std::string fmt_num(double v);
+
 /**
  * Log-bucketed histogram: bucket upper bounds grow geometrically from
  * `first_bound` by `growth`, with a final +inf bucket. observe() is a

@@ -1,57 +1,10 @@
 #include "simcore/stats.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <numeric>
-#include <sstream>
 #include <stdexcept>
 
 namespace windserve::sim {
-
-void
-Summary::add(double x)
-{
-    ++n_;
-    sum_ += x;
-    double d = x - mean_;
-    mean_ += d / static_cast<double>(n_);
-    m2_ += d * (x - mean_);
-    min_ = (n_ == 1) ? x : std::min(min_, x);
-    max_ = (n_ == 1) ? x : std::max(max_, x);
-}
-
-double
-Summary::variance() const
-{
-    return n_ > 1 ? m2_ / static_cast<double>(n_ - 1) : 0.0;
-}
-
-double
-Summary::stddev() const
-{
-    return std::sqrt(variance());
-}
-
-void
-Summary::merge(const Summary &o)
-{
-    if (o.n_ == 0)
-        return;
-    if (n_ == 0) {
-        *this = o;
-        return;
-    }
-    // Chan et al. parallel-merge of Welford accumulators.
-    double delta = o.mean_ - mean_;
-    std::size_t n = n_ + o.n_;
-    double na = static_cast<double>(n_), nb = static_cast<double>(o.n_);
-    m2_ += o.m2_ + delta * delta * na * nb / static_cast<double>(n);
-    mean_ += delta * nb / static_cast<double>(n);
-    min_ = std::min(min_, o.min_);
-    max_ = std::max(max_, o.max_);
-    sum_ += o.sum_;
-    n_ = n;
-}
 
 void
 Sample::add(double x)
@@ -125,52 +78,6 @@ Sample::merge(const Sample &o)
 {
     xs_.insert(xs_.end(), o.xs_.begin(), o.xs_.end());
     sorted_ = xs_.size() <= 1;
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), counts_(bins, 0)
-{
-    if (!(hi > lo) || bins == 0)
-        throw std::invalid_argument("Histogram: need hi > lo and bins > 0");
-}
-
-void
-Histogram::add(double x)
-{
-    ++total_;
-    if (x < lo_) {
-        ++underflow_;
-    } else if (x >= hi_) {
-        ++overflow_;
-    } else {
-        auto idx = static_cast<std::size_t>((x - lo_) / (hi_ - lo_) *
-                                            static_cast<double>(counts_.size()));
-        idx = std::min(idx, counts_.size() - 1);
-        ++counts_[idx];
-    }
-}
-
-double
-Histogram::bin_lo(std::size_t i) const
-{
-    return lo_ + (hi_ - lo_) * static_cast<double>(i) /
-                     static_cast<double>(counts_.size());
-}
-
-std::string
-Histogram::ascii(std::size_t width) const
-{
-    std::ostringstream out;
-    std::size_t peak = 0;
-    for (auto c : counts_)
-        peak = std::max(peak, c);
-    for (std::size_t i = 0; i < counts_.size(); ++i) {
-        std::size_t bar =
-            peak ? counts_[i] * width / peak : 0;
-        out << "[" << bin_lo(i) << ", " << bin_hi(i) << ") "
-            << std::string(bar, '#') << " " << counts_[i] << "\n";
-    }
-    return out.str();
 }
 
 } // namespace windserve::sim

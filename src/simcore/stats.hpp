@@ -2,41 +2,17 @@
  * @file
  * Statistics primitives used for latency metrics and workload validation.
  *
- * Summary gives streaming mean/min/max/stddev; Sample additionally keeps all
- * observations for exact percentiles (traces in this reproduction are small
- * enough — tens of thousands of requests — that exact percentiles are cheap
- * and avoid quantile-sketch error in the reported figures).
+ * Sample keeps all observations for exact percentiles (traces in this
+ * reproduction are small enough — tens of thousands of requests — that
+ * exact percentiles are cheap and avoid quantile-sketch error in the
+ * reported figures).
  */
 #pragma once
 
 #include <cstddef>
-#include <string>
 #include <vector>
 
 namespace windserve::sim {
-
-/** Streaming moments: count, mean, variance (Welford), min, max. */
-class Summary
-{
-  public:
-    void add(double x);
-    std::size_t count() const { return n_; }
-    double mean() const { return n_ ? mean_ : 0.0; }
-    double variance() const;
-    double stddev() const;
-    double min() const { return n_ ? min_ : 0.0; }
-    double max() const { return n_ ? max_ : 0.0; }
-    double sum() const { return sum_; }
-    void merge(const Summary &other);
-
-  private:
-    std::size_t n_ = 0;
-    double mean_ = 0.0;
-    double m2_ = 0.0;
-    double min_ = 0.0;
-    double max_ = 0.0;
-    double sum_ = 0.0;
-};
 
 /**
  * A full sample of observations with exact percentile queries.
@@ -69,29 +45,6 @@ class Sample
 
     mutable std::vector<double> xs_;
     mutable bool sorted_ = true;
-};
-
-/** Fixed-width histogram over [lo, hi) with overflow/underflow bins. */
-class Histogram
-{
-  public:
-    Histogram(double lo, double hi, std::size_t bins);
-    void add(double x);
-    std::size_t bin_count(std::size_t i) const { return counts_.at(i); }
-    std::size_t underflow() const { return underflow_; }
-    std::size_t overflow() const { return overflow_; }
-    std::size_t bins() const { return counts_.size(); }
-    double bin_lo(std::size_t i) const;
-    double bin_hi(std::size_t i) const { return bin_lo(i + 1); }
-    std::size_t total() const { return total_; }
-    std::string ascii(std::size_t width = 40) const;
-
-  private:
-    double lo_, hi_;
-    std::vector<std::size_t> counts_;
-    std::size_t underflow_ = 0;
-    std::size_t overflow_ = 0;
-    std::size_t total_ = 0;
 };
 
 } // namespace windserve::sim

@@ -11,10 +11,13 @@ namespace windserve::transfer {
 
 namespace {
 
+/** The host-staged fallback path (GPU -> host DRAM -> GPU bounce when
+ *  the direct path times out under fault injection): a quarter of the
+ *  direct @p link 's bandwidth. */
 hw::Link
-staged_link(hw::Link link, double factor)
+staged_link(hw::Link link)
 {
-    link.bandwidth *= factor;
+    link.bandwidth *= 0.25;
     return link;
 }
 
@@ -26,7 +29,7 @@ KvTransferManager::KvTransferManager(sim::Simulator &sim, hw::Link link,
     : sim_(sim), cfg_(cfg), kv_bytes_per_token_(model.kv_bytes_per_token()),
       p2d_(sim, link, cfg.name_prefix + "kv/p2d"),
       d2p_(sim, link, cfg.name_prefix + "kv/d2p"),
-      staged_(sim, staged_link(link, cfg.staged_bandwidth_factor),
+      staged_(sim, staged_link(link),
               cfg.name_prefix + "kv/staged")
 {}
 
@@ -51,8 +54,11 @@ KvTransferManager::transfer_prefill_kv(workload::Request *r,
                                        std::function<void()> done)
 {
     double bytes = bytes_for_tokens(static_cast<double>(r->prompt_tokens));
+    // Overlapping leaves the last pipeline layer's share of the copy
+    // after the prefill pass: 1/num_layers would be exact, a 5% tail
+    // is robust across models.
     if (cfg_.policy == TransferPolicy::Overlapped)
-        bytes *= cfg_.overlap_tail_fraction;
+        bytes *= 0.05;
     audit::transition(audit_, *r, workload::RequestState::Transferring);
 
     double timeout =

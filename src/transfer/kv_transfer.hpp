@@ -37,18 +37,6 @@ enum class TransferPolicy {
 struct KvTransferConfig {
     TransferPolicy policy = TransferPolicy::Synchronous;
     /**
-     * Fraction of the KV copy left after the prefill pass when
-     * overlapping (the last pipeline layer's share; 1/num_layers would
-     * be exact, a small constant is robust across models).
-     */
-    double overlap_tail_fraction = 0.05;
-    /**
-     * Bandwidth of the host-staged fallback path relative to the direct
-     * link (GPU -> host DRAM -> GPU bounce when the direct path times
-     * out under fault injection).
-     */
-    double staged_bandwidth_factor = 0.25;
-    /**
      * Prefix for the three channel names ("kv/p2d" etc.). The auditor
      * keys its transfer ledgers by channel name, so multi-pod systems
      * must give each pod's transfer manager a unique prefix (e.g.

@@ -39,7 +39,8 @@ MigrationManager::start(Request *r)
                                     ? target_.blocks().tokens_of(r->id)
                                     : 0;
     std::size_t extra = ctx > already_there ? ctx - already_there : 0;
-    if (!target_.blocks().can_allocate(extra + cfg_.target_headroom_tokens))
+    // Start only with 256 tokens of headroom left at the target.
+    if (!target_.blocks().can_allocate(extra + 256))
         return false;
 
     std::size_t backed = backups_.backed_up_tokens(r->id);
@@ -92,8 +93,8 @@ MigrationManager::on_source_step()
             m.synced_tokens = ctx;
         }
         double remaining = xfer_.reverse_channel().remaining_bytes(m.transfer);
-        double threshold = xfer_.bytes_for_tokens(
-            static_cast<double>(cfg_.pause_threshold_tokens));
+        // Pause the request once fewer than 64 KV tokens remain to send.
+        double threshold = xfer_.bytes_for_tokens(64.0);
         if (remaining <= threshold)
             pause(m);
     }

@@ -30,15 +30,11 @@ namespace windserve::transfer {
 
 /** Tunables of the migration machinery. */
 struct MigrationConfig {
-    /** Pause the request when fewer KV tokens than this remain to send. */
-    std::size_t pause_threshold_tokens = 64;
     /**
      * Stall-free on/off. When off the request pauses immediately at
      * migration start (blocking migration, for the ablation).
      */
     bool stall_free = true;
-    /** Extra blocks of headroom required at the target before starting. */
-    std::size_t target_headroom_tokens = 256;
 };
 
 /**

@@ -14,7 +14,6 @@
 
 #include <cstdlib>
 #include <fstream>
-#include <limits>
 #include <map>
 #include <string>
 #include <vector>
@@ -313,30 +312,6 @@ expect_rejected(const core::ClusterConfig &cc, const std::string &field)
 
 } // namespace
 
-TEST(ClusterConfigCheck, RejectsNegativeLpWindow)
-{
-    core::ClusterConfig cc = small_cluster(2, 1);
-    cc.lp_window = -5.0;
-    expect_rejected(cc, "lp_window");
-}
-
-TEST(ClusterConfigCheck, RejectsNonFiniteLpWindow)
-{
-    for (double w : {std::numeric_limits<double>::quiet_NaN(),
-                     std::numeric_limits<double>::infinity()}) {
-        core::ClusterConfig cc = small_cluster(2, 1);
-        cc.lp_window = w;
-        expect_rejected(cc, "lp_window");
-    }
-}
-
-TEST(ClusterConfigCheck, ZeroLpWindowStaysLegal)
-{
-    core::ClusterConfig cc = small_cluster(2, 1);
-    cc.lp_window = 0.0;
-    EXPECT_NO_THROW(core::ClusterServeSystem{cc});
-}
-
 TEST(ClusterConfigCheck, RejectsLowwaterAboveHighwater)
 {
     core::ClusterConfig cc = small_cluster(2, 1);
@@ -439,7 +414,6 @@ TEST(ClusterSystem, BalancerDrainsAfterFaultFreeOffloadRun)
     auto *cs = dynamic_cast<core::ClusterServeSystem *>(system.get());
     ASSERT_NE(cs, nullptr);
     ASSERT_EQ(cs->num_replicas(), 8u);
-    ASSERT_TRUE(cs->config().allow_cross_pod);
     engine::RunOptions opts;
     opts.horizon = ec.horizon;
     auto run = system->run(hs::make_trace(ec), opts);

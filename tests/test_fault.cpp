@@ -65,8 +65,9 @@ TEST(FaultPlan, DeterministicAndSorted)
         EXPECT_EQ(a.events()[i].kind, b.events()[i].kind);
         EXPECT_EQ(a.events()[i].target, b.events()[i].target);
         EXPECT_EQ(a.events()[i].param, b.events()[i].param);
-        if (i > 0)
+        if (i > 0) {
             EXPECT_LE(a.events()[i - 1].time, a.events()[i].time);
+        }
     }
     EXPECT_GT(a.num_crashes(), 0u);
 

@@ -170,8 +170,9 @@ TEST(FuzzAudit, NodeAxisDoesNotPerturbSingleNodeConfigs)
             hs::make_fuzz_config(9, hs::SystemKind::WindServe, chaos, 2);
         EXPECT_EQ(legacy.num_requests, multi.num_requests);
         EXPECT_EQ(legacy.per_gpu_rate, multi.per_gpu_rate);
-        if (chaos)
+        if (chaos) {
             EXPECT_EQ(legacy.faults->crash_mtbf, multi.faults->crash_mtbf);
+        }
         EXPECT_EQ(multi.num_nodes, 2u);
     }
 }

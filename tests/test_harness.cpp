@@ -5,6 +5,9 @@
  */
 #include <gtest/gtest.h>
 
+#include <utility>
+
+#include "engine/instance.hpp"
 #include "harness/sweep.hpp"
 #include "harness/table.hpp"
 
@@ -75,6 +78,46 @@ TEST(Experiment, MakeSystemBuildsEveryKind)
         auto sys = hs::make_system(ec);
         ASSERT_NE(sys, nullptr);
         EXPECT_EQ(sys->num_gpus(), 4u);
+    }
+}
+
+TEST(Harness, SharedKnobsReachEveryInstance)
+{
+    hs::ExperimentConfig ec;
+    ec.swap_enabled = false;
+    ec.host_memory_bytes = 1e9;
+    ec.kv_capacity_tokens_override = 4096;
+    auto expect_shared = [](const windserve::engine::Instance &inst) {
+        const windserve::engine::InstanceConfig &c = inst.config();
+        EXPECT_FALSE(c.swap_enabled) << c.name;
+        EXPECT_EQ(c.host_memory_bytes, 1e9) << c.name;
+        EXPECT_EQ(c.kv_capacity_tokens_override, 4096u) << c.name;
+    };
+    // WindServe with one pod and with two, DistServe with two replicas,
+    // and vLLM.
+    const std::pair<hs::SystemKind, std::size_t> cases[] = {
+        {hs::SystemKind::WindServe, 1},
+        {hs::SystemKind::WindServe, 2},
+        {hs::SystemKind::DistServe, 2},
+        {hs::SystemKind::Vllm, 1},
+    };
+    for (const auto &[kind, pods_per_node] : cases) {
+        ec.system = kind;
+        ec.pods_per_node = pods_per_node;
+        auto sys = hs::make_system(ec);
+        ASSERT_EQ(sys->num_replicas(), kind == hs::SystemKind::Vllm
+                                           ? 2u
+                                           : pods_per_node);
+        for (std::size_t i = 0; i < sys->num_replicas(); ++i) {
+            expect_shared(sys->prefill(i));
+            expect_shared(sys->decode(i));
+            if (kind == hs::SystemKind::WindServe) {
+                EXPECT_EQ(sys->prefill(i).config().chunk_size, 2048u);
+                EXPECT_EQ(sys->decode(i).config().chunk_size, 512u);
+            } else if (kind == hs::SystemKind::Vllm) {
+                EXPECT_EQ(sys->prefill(i).config().chunk_size, 2048u);
+            }
+        }
     }
 }
 

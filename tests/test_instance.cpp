@@ -436,8 +436,6 @@ TEST(InstanceConfigValidation, OutOfRangeFieldsNamed)
             {"block_size", [](auto &c) { c.block_size = 0; }},
             {"max_batch_size", [](auto &c) { c.max_batch_size = 0; }},
             {"max_prefill_tokens", [](auto &c) { c.max_prefill_tokens = 0; }},
-            {"max_prefill_requests",
-             [](auto &c) { c.max_prefill_requests = 0; }},
             {"chunk_size", [](auto &c) { c.chunk_size = 0; }},
             {"exec_noise_sigma", [](auto &c) { c.exec_noise_sigma = -0.1; }},
             {"exec_noise_sigma", [=](auto &c) { c.exec_noise_sigma = nan; }},
@@ -465,7 +463,7 @@ TEST(InstanceConfigValidation, OutOfRangeFieldsNamed)
     sim::Simulator s;
     eng::InstanceConfig edge = decode_cfg();
     edge.block_size = edge.max_batch_size = edge.max_prefill_tokens =
-        edge.max_prefill_requests = edge.chunk_size = 1;
+        edge.chunk_size = 1;
     edge.exec_noise_sigma = 0.0;
     edge.host_memory_bytes = 0.0;
     EXPECT_NO_THROW(eng::Instance(s, edge, cost, sim::Rng(1),

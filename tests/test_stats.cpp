@@ -1,64 +1,14 @@
 /**
  * @file
- * Unit tests for Summary / Sample / Histogram statistics.
+ * Unit tests for Sample statistics.
  */
 #include <gtest/gtest.h>
 
-#include <cmath>
+#include <stdexcept>
 
-#include "simcore/rng.hpp"
 #include "simcore/stats.hpp"
 
 namespace ws = windserve::sim;
-
-TEST(Summary, EmptyIsZero)
-{
-    ws::Summary s;
-    EXPECT_EQ(s.count(), 0u);
-    EXPECT_DOUBLE_EQ(s.mean(), 0.0);
-    EXPECT_DOUBLE_EQ(s.stddev(), 0.0);
-}
-
-TEST(Summary, BasicMoments)
-{
-    ws::Summary s;
-    for (double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0})
-        s.add(x);
-    EXPECT_EQ(s.count(), 8u);
-    EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-    EXPECT_DOUBLE_EQ(s.min(), 2.0);
-    EXPECT_DOUBLE_EQ(s.max(), 9.0);
-    EXPECT_NEAR(s.variance(), 32.0 / 7.0, 1e-12); // sample variance
-    EXPECT_DOUBLE_EQ(s.sum(), 40.0);
-}
-
-TEST(Summary, MergeMatchesCombined)
-{
-    ws::Rng r(2);
-    ws::Summary all, a, b;
-    for (int i = 0; i < 1000; ++i) {
-        double x = r.normal(3.0, 1.5);
-        all.add(x);
-        (i % 2 ? a : b).add(x);
-    }
-    a.merge(b);
-    EXPECT_EQ(a.count(), all.count());
-    EXPECT_NEAR(a.mean(), all.mean(), 1e-9);
-    EXPECT_NEAR(a.variance(), all.variance(), 1e-9);
-    EXPECT_DOUBLE_EQ(a.min(), all.min());
-    EXPECT_DOUBLE_EQ(a.max(), all.max());
-}
-
-TEST(Summary, MergeWithEmpty)
-{
-    ws::Summary a, b;
-    a.add(1.0);
-    a.merge(b);
-    EXPECT_EQ(a.count(), 1u);
-    b.merge(a);
-    EXPECT_EQ(b.count(), 1u);
-    EXPECT_DOUBLE_EQ(b.mean(), 1.0);
-}
 
 TEST(Sample, EmptyPercentileIsZero)
 {
@@ -147,45 +97,4 @@ TEST(Sample, AddAfterQueryStillCorrect)
     EXPECT_DOUBLE_EQ(s.median(), 1.5);
     s.add(10.0);
     EXPECT_DOUBLE_EQ(s.median(), 2.0);
-}
-
-TEST(Histogram, BinsAndEdges)
-{
-    ws::Histogram h(0.0, 10.0, 5);
-    EXPECT_EQ(h.bins(), 5u);
-    EXPECT_DOUBLE_EQ(h.bin_lo(0), 0.0);
-    EXPECT_DOUBLE_EQ(h.bin_hi(0), 2.0);
-    EXPECT_DOUBLE_EQ(h.bin_lo(4), 8.0);
-}
-
-TEST(Histogram, CountsIncludingOverUnderflow)
-{
-    ws::Histogram h(0.0, 10.0, 5);
-    h.add(-1.0);
-    h.add(0.0);
-    h.add(1.9);
-    h.add(9.999);
-    h.add(10.0);
-    h.add(50.0);
-    EXPECT_EQ(h.underflow(), 1u);
-    EXPECT_EQ(h.overflow(), 2u);
-    EXPECT_EQ(h.bin_count(0), 2u);
-    EXPECT_EQ(h.bin_count(4), 1u);
-    EXPECT_EQ(h.total(), 6u);
-}
-
-TEST(Histogram, RejectsBadConfig)
-{
-    EXPECT_THROW(ws::Histogram(1.0, 1.0, 5), std::invalid_argument);
-    EXPECT_THROW(ws::Histogram(0.0, 1.0, 0), std::invalid_argument);
-}
-
-TEST(Histogram, AsciiRenders)
-{
-    ws::Histogram h(0.0, 2.0, 2);
-    h.add(0.5);
-    h.add(1.5);
-    h.add(1.6);
-    std::string art = h.ascii(10);
-    EXPECT_NE(art.find('#'), std::string::npos);
 }

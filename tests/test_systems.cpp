@@ -127,20 +127,8 @@ TEST(WindServeSystem, OutOfRangePodConfigNamed)
              [](auto &c) {
                  c.tpot_slo = std::numeric_limits<double>::infinity();
              }},
-            {"dispatch_reserve_fraction",
-             [](auto &c) { c.dispatch_reserve_fraction = -0.01; }},
-            {"dispatch_reserve_fraction",
-             [](auto &c) { c.dispatch_reserve_fraction = 1.5; }},
-            {"dispatch_reserve_fraction",
-             [=](auto &c) { c.dispatch_reserve_fraction = nan; }},
             {"thrd", [=](auto &c) { c.coordinator.thrd = nan; }},
             {"thrd", [](auto &c) { c.coordinator.thrd = -1.0; }},
-            {"budget_ttft_fraction",
-             [=](auto &c) { c.coordinator.budget_ttft_fraction = nan; }},
-            {"budget_ttft_fraction",
-             [](auto &c) { c.coordinator.budget_ttft_fraction = -0.5; }},
-            {"budget_ttft_fraction",
-             [](auto &c) { c.coordinator.budget_ttft_fraction = 0.0; }},
             {"resched_occupancy_trigger",
              [=](auto &c) { c.coordinator.resched_occupancy_trigger = nan; }},
             {"resched_occupancy_trigger",
@@ -165,7 +153,6 @@ TEST(WindServeSystem, OutOfRangePodConfigNamed)
              std::function<void(core::WindServeConfig &)>>{
              [](auto &c) { c.coordinator.thrd = 0.0; },
              [](auto &c) { c.coordinator.thrd = 1e6; },
-             [](auto &c) { c.coordinator.budget_ttft_fraction = 1.0; },
              [](auto &c) { c.coordinator.resched_occupancy_trigger = 0.0; },
              [](auto &c) { c.coordinator.resched_occupancy_trigger = 0.99; },
          }) {

@@ -332,10 +332,12 @@ TEST(Trace, ChromeJsonRoundTripsThroughParser)
         EXPECT_TRUE(e.has("name"));
         EXPECT_TRUE(e.has("cat"));
         EXPECT_GE(e.at("ts").num, 0.0);
-        if (ph == "X")
+        if (ph == "X") {
             EXPECT_GE(e.at("dur").num, 0.0);
-        if (ph == "i")
+        }
+        if (ph == "i") {
             EXPECT_EQ(e.at("s").str, "t");
+        }
     }
     // Every recorded event is exported exactly once; metadata only adds
     // process/thread naming on top.
