@@ -5,9 +5,11 @@
  * Events are closures ordered by (time, insertion sequence). The
  * sequence tie-break makes simulation runs fully deterministic: two
  * events scheduled for the same instant fire in the order they were
- * scheduled. That ordering contract is load-bearing — every golden
- * snapshot and jobs-1/N bit-identity test depends on it — and is
- * preserved exactly by this implementation.
+ * scheduled, or, for an event pushed at a reserved sequence number
+ * (reserve_seq), in the order of the reservation. That ordering
+ * contract is load-bearing — every golden snapshot and jobs-1/N
+ * bit-identity test depends on it — and is preserved exactly by this
+ * implementation.
  *
  * Structure: an indexed 4-ary min-heap of 16-byte keys (time, sequence,
  * pool slot) over an EventPool that owns the closures. Compared to the
@@ -54,9 +56,34 @@ class EventQueue
      */
     template <class F> EventHandle push(SimTime when, F &&fn)
     {
+        return push_at_seq(when, seq_++, std::forward<F>(fn));
+    }
+
+    /**
+     * Reserve @p n consecutive sequence numbers for events pushed later
+     * with push_at_seq(). An event pushed at a reserved number ties
+     * exactly as it would have if pushed now: it fires after every
+     * event pushed before the reservation and before every event pushed
+     * after it, at the same timestamp.
+     * @return the first reserved number.
+     */
+    std::uint64_t reserve_seq(std::uint64_t n)
+    {
+        const std::uint64_t first = seq_;
+        seq_ += n;
+        return first;
+    }
+
+    /**
+     * push() with the sequence number @p seq supplied by the caller:
+     * one reserve_seq() returned, used at most once.
+     */
+    template <class F>
+    EventHandle push_at_seq(SimTime when, std::uint64_t seq, F &&fn)
+    {
         const auto pos = static_cast<std::uint32_t>(heap_.size());
         EventHandle h = pool_.acquire(std::forward<F>(fn), pos);
-        heap_.push_back(Key{when, (seq_++ << kSlotBits) | h.slot_});
+        heap_.push_back(Key{when, (seq << kSlotBits) | h.slot_});
         sift_up(pos);
         return h;
     }
@@ -141,7 +168,9 @@ class EventQueue
         return fired;
     }
 
-    /** Total number of events ever pushed (for diagnostics). */
+    /** Sequence numbers issued so far, reserved ones included: the
+     *  events pushed plus the reservations not yet pushed (for
+     *  diagnostics). */
     std::uint64_t total_pushed() const { return seq_; }
 
     /** Allocator-pressure counters of the backing pool. */
@@ -154,9 +183,9 @@ class EventQueue
     /**
      * 16-byte heap key: everything a sift comparison needs, no pool
      * lookups. The insertion sequence (high 40 bits) and pool slot
-     * (low 24) share one word; since sequences are unique and strictly
-     * increasing, comparing the packed word compares sequences — the
-     * slot bits can never flip an ordering.
+     * (low 24) share one word; since no two events share a sequence,
+     * comparing the packed word compares sequences — the slot bits can
+     * never flip an ordering.
      */
     struct Key {
         SimTime when;

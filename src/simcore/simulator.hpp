@@ -39,9 +39,11 @@ struct LpClock {
 /**
  * Discrete-event simulation driver.
  *
- * Usage: schedule initial events (e.g. request arrivals), then run() or
- * run_until(). Event handlers schedule follow-up events; the simulation
- * terminates when the queue drains or the horizon is reached.
+ * Usage: schedule the first events, then run() or run_until(). Event
+ * handlers schedule follow-up events — a request arrival schedules the
+ * next one (engine::ServingSystem::schedule_arrivals) — and the
+ * simulation terminates when the queue drains or the horizon is
+ * reached.
  *
  * schedule()/schedule_at() accept any callable and store it inline in
  * the event pool when it fits (the common case allocates nothing); they
@@ -89,6 +91,22 @@ class Simulator
     template <class F> EventHandle schedule_at(SimTime when, F &&fn)
     {
         return push_event(std::max(when, now()), std::forward<F>(fn));
+    }
+
+    /** Reserve @p n consecutive sequence numbers for schedule_at_seq()
+     *  (see EventQueue::reserve_seq). @return the first of them. */
+    std::uint64_t reserve_seq(std::uint64_t n)
+    {
+        return queue_.reserve_seq(n);
+    }
+
+    /** schedule_at() at the reserved sequence number @p seq: @p fn
+     *  ties at its timestamp as if scheduled when @p seq was
+     *  reserved. */
+    template <class F>
+    EventHandle schedule_at_seq(SimTime when, std::uint64_t seq, F &&fn)
+    {
+        return push_event(std::max(when, now()), seq, std::forward<F>(fn));
     }
 
     /** Cancel a previously scheduled event (no-op on stale handles). */
@@ -223,17 +241,24 @@ class Simulator
 
     template <class F> EventHandle push_event(SimTime when, F &&fn)
     {
+        return push_event(when, queue_.reserve_seq(1), std::forward<F>(fn));
+    }
+
+    template <class F>
+    EventHandle push_event(SimTime when, std::uint64_t seq, F &&fn)
+    {
         // A hub handler scheduling onto an LP may move that LP's next
         // event earlier; the scheduler re-keys the LPs listed here when
         // the hub phase ends.
         if (lp_ && lp_->hub_phase)
             lp_->touched.push_back(lp_index_);
         if (prof_) {
-            return queue_.push(
-                when, Profiled<std::decay_t<F>>{this, cur_src_,
-                                                std::forward<F>(fn)});
+            return queue_.push_at_seq(
+                when, seq,
+                Profiled<std::decay_t<F>>{this, cur_src_,
+                                          std::forward<F>(fn)});
         }
-        return queue_.push(when, std::forward<F>(fn));
+        return queue_.push_at_seq(when, seq, std::forward<F>(fn));
     }
 
     EventQueue queue_;

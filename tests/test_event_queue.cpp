@@ -337,6 +337,72 @@ TEST(EventQueue, CancelDestroysOversizedClosureImmediately)
 }
 
 // ---------------------------------------------------------------------
+// Reserved sequence numbers
+// ---------------------------------------------------------------------
+
+TEST(EventQueueReservedSeq, ReserveReturnsFirstAndAdvancesPastAll)
+{
+    ws::EventQueue q;
+    q.push(1.0, [] {});
+    EXPECT_EQ(q.reserve_seq(3), 1u);
+    EXPECT_EQ(q.reserve_seq(0), 4u);
+    q.push(1.0, [] {});
+    // Reserved numbers count as issued, pushed or not.
+    EXPECT_EQ(q.total_pushed(), 5u);
+}
+
+// Same-time events fire in sequence order whenever they were pushed:
+// two reserved slots between ordinary pushes before and after the
+// reservation.
+TEST(EventQueueReservedSeq, ReservedEventsInterleaveBySequence)
+{
+    ws::EventQueue q;
+    std::vector<int> fired;
+    q.push(2.0, [&] { fired.push_back(0); });
+    const std::uint64_t base = q.reserve_seq(2);
+    q.push(2.0, [&] { fired.push_back(3); });
+    q.push_at_seq(2.0, base + 1, [&] { fired.push_back(2); });
+    q.push(2.0, [&] { fired.push_back(4); });
+    q.push_at_seq(2.0, base, [&] { fired.push_back(1); });
+    EXPECT_EQ(q.run_batch(2.0), 5u);
+    EXPECT_EQ(fired, (std::vector<int>{0, 1, 2, 3, 4}));
+}
+
+// An event pushed late at a reserved number still beats one pushed
+// earlier with a higher number, and still loses to a lower one.
+TEST(EventQueueReservedSeq, LatePushedReservedEventWinsTie)
+{
+    ws::EventQueue q;
+    std::vector<int> fired;
+    q.push(1.0, [&] { fired.push_back(0); });
+    const std::uint64_t seq = q.reserve_seq(1);
+    q.push(1.0, [&] { fired.push_back(2); });
+    q.push(0.5, [&] {
+        fired.push_back(-1);
+        q.push_at_seq(1.0, seq, [&] { fired.push_back(1); });
+    });
+    while (!q.empty())
+        q.pop_and_run();
+    EXPECT_EQ(fired, (std::vector<int>{-1, 0, 1, 2}));
+}
+
+TEST(EventQueueReservedSeq, CancelRemovesReservedEvent)
+{
+    ws::EventQueue q;
+    std::vector<int> fired;
+    const std::uint64_t base = q.reserve_seq(2);
+    auto h = q.push_at_seq(3.0, base, [&] { fired.push_back(0); });
+    q.push_at_seq(3.0, base + 1, [&] { fired.push_back(1); });
+    q.push(1.0, [&] { fired.push_back(2); });
+    EXPECT_TRUE(q.cancel(h));
+    EXPECT_FALSE(q.cancel(h));
+    EXPECT_EQ(q.size(), 2u);
+    while (!q.empty())
+        q.pop_and_run();
+    EXPECT_EQ(fired, (std::vector<int>{2, 1}));
+}
+
+// ---------------------------------------------------------------------
 // Fuzz equivalence against the original lazy-cancellation heap
 // ---------------------------------------------------------------------
 namespace {
