@@ -121,8 +121,8 @@ class ServingSystem
     const obs::Telemetry *telemetry() const { return telemetry_.get(); }
 
     /**
-     * Replay @p trace (sorted by arrival) until every request finishes
-     * or the horizon elapses, then collect metrics against the SLO and
+     * Replay @p trace until every request finishes or the horizon
+     * elapses, then collect metrics against the SLO and
      * average each utilisation over the replicas.
      * Attachments requested in @p opts are created first — telemetry,
      * tracing, audit, faults — and cross-linked (the injector reports
@@ -139,7 +139,10 @@ class ServingSystem
      * the first run's and ignores the attachment options.
      *
      * @throws std::invalid_argument when opts.horizon is not finite
-     *         and > 0, before anything is attached or replayed.
+     *         and > 0, or when an arrival time in @p trace is not
+     *         finite or is lower than the one before it (the trace
+     *         must be sorted by arrival time), before anything is
+     *         attached or replayed.
      */
     RunResult run(const std::vector<workload::Request> &trace,
                   const RunOptions &opts);
@@ -159,9 +162,14 @@ class ServingSystem
     virtual void replay(const std::vector<workload::Request> &trace,
                         double horizon);
 
-    /** Copy @p trace into requests_ and schedule on_arrival() for each
-     *  request at its arrival time, in trace order, under the
-     *  "arrival" event source. */
+    /**
+     * Copy @p trace (sorted by arrival time) into requests_ and call
+     * on_arrival() for each request at its arrival time, in trace
+     * order, under the "arrival" event source. Only the next arrival is
+     * queued at a time: each one's event schedules its successor's. The
+     * trace's sequence numbers are reserved here, so each arrival ties
+     * at its timestamp as if all were scheduled at this call.
+     */
     void schedule_arrivals(const std::vector<workload::Request> &trace);
 
     /** Route a new request (an element of requests_) to a replica. */
@@ -192,6 +200,10 @@ class ServingSystem
     /** Build, cross-link, attach and arm the attachments @p opts asks
      *  for (see run()). */
     void instrument(const RunOptions &opts);
+
+    /** Schedule requests_[@p i]'s arrival at sequence number
+     *  @p base + @p i. */
+    void schedule_arrival(std::uint64_t base, std::size_t i);
 
     bool instrumented_ = false;
     std::unique_ptr<obs::Telemetry> telemetry_;

@@ -553,3 +553,50 @@ TEST(Regression, NonPositiveHorizonRejected)
             << "horizon " << h;
     }
 }
+
+// Bug 13 (unsorted programmatic trace): each arrival schedules the next
+// at its successor's time, which the simulator clamps to now(), so a
+// trace that goes back in time would replay with silently moved
+// arrivals. trace_io rejects such a CSV; run() now rejects such a
+// vector up front, naming the system, the request and both times.
+TEST(Regression, UnsortedTraceRejected)
+{
+    wl::TraceConfig tc;
+    tc.dataset = wl::DatasetConfig::sharegpt();
+    tc.arrival.rate = 4.0;
+    tc.num_requests = 20;
+    const auto sorted = wl::TraceBuilder(tc).build();
+    auto unsorted = sorted;
+    unsorted[7].arrival_time = sorted[6].arrival_time - 0.25;
+    auto nan = sorted;
+    nan[0].arrival_time = std::numeric_limits<double>::quiet_NaN();
+
+    std::vector<std::unique_ptr<eng::ServingSystem>> systems;
+    systems.push_back(
+        std::make_unique<core::WindServeSystem>(core::WindServeConfig{}));
+    systems.push_back(
+        std::make_unique<bl::BaselineSystem>(bl::DistServeConfig{}));
+    systems.push_back(std::make_unique<bl::BaselineSystem>(bl::VllmConfig{}));
+    for (auto &sys : systems) {
+        eng::RunOptions opts;
+        opts.audit = windserve::audit::AuditConfig{};
+        std::string what =
+            invalid_argument_of([&] { sys->run(unsorted, opts); });
+        for (const std::string &part :
+             {sys->name(), std::string("request 7"),
+              std::to_string(unsorted[7].arrival_time),
+              std::string("request 6"),
+              std::to_string(sorted[6].arrival_time)})
+            EXPECT_NE(what.find(part), std::string::npos)
+                << "missing '" << part << "' in: " << what;
+        what = invalid_argument_of([&] { sys->run(nan, opts); });
+        EXPECT_NE(what.find("request 0"), std::string::npos) << what;
+        EXPECT_NE(what.find("non-finite"), std::string::npos) << what;
+        // Rejected before anything was attached: the sorted trace then
+        // runs to completion with the auditor it asks for.
+        EXPECT_EQ(sys->audit(), nullptr) << sys->name();
+        EXPECT_EQ(sys->run(sorted, opts).metrics.num_finished, sorted.size())
+            << sys->name();
+        EXPECT_NE(sys->audit(), nullptr) << sys->name();
+    }
+}
