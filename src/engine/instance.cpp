@@ -581,14 +581,13 @@ Instance::complete_group(std::size_t g)
     // have swapped a later member out DURING this loop; a swapped-out
     // member's pass result is discarded with its KV, so it must not
     // receive the token (and certainly must not "finish" while sitting
-    // in the waiting queue).
-    std::vector<Request *> members = std::move(grp.iteration_members);
-    std::vector<kvcache::KvHandle> handles =
-        std::move(grp.iteration_handles);
-    grp.iteration_members.clear();
-    grp.iteration_handles.clear();
-    for (std::size_t i = 0; i < members.size(); ++i) {
-        Request *r = members[i];
+    // in the waiting queue). The snapshot is swapped out of the group
+    // for the walk: a pass restarted from a callback in this loop
+    // snapshots into the group's vectors, not the ones walked here.
+    pass_members_.swap(grp.iteration_members);
+    pass_handles_.swap(grp.iteration_handles);
+    for (std::size_t i = 0; i < pass_members_.size(); ++i) {
+        Request *r = pass_members_[i];
         if (!grp.contains(r))
             continue;
         // Reentrancy guard: a finish callback earlier in this loop may
@@ -604,10 +603,13 @@ Instance::complete_group(std::size_t g)
         r->note_token(sim_.now());
         if (r->generated >= r->output_tokens) {
             finish_request(r);
-        } else if (!blocks_.grow(handles[i], r->id, r->context_length())) {
+        } else if (!blocks_.grow(pass_handles_[i], r->id,
+                                 r->context_length())) {
             handle_block_exhaustion(r, g);
         }
     }
+    pass_members_.clear();
+    pass_handles_.clear();
 
     if (callbacks.on_step)
         callbacks.on_step();

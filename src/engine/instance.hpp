@@ -342,6 +342,10 @@ class Instance
     std::size_t sbd_tokens_ = 0;
 
     std::vector<DecodeGroup> groups_;
+    // complete_group()'s pass snapshot, swapped with the group's (and
+    // empty between passes), so no pass reallocates either vector
+    std::vector<Request *> pass_members_;
+    std::vector<kvcache::KvHandle> pass_handles_;
 
     // per group: hybrid assist jobs attached to its in-flight pass
     std::vector<std::vector<Request *>> hybrid_assists_;

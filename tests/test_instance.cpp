@@ -207,6 +207,49 @@ TEST(InstanceDecode, ContinuousBatchingJoinsMidFlight)
     EXPECT_GT(b.decode_start_time, 0.0);
 }
 
+// A finish callback inside the pass-completion loop pumps the
+// instance, which restarts the same group on a new snapshot while the
+// loop still walks the finished pass's one: only that pass's members
+// earn its token, not the request admitted by the restart.
+TEST(InstanceDecode, GroupRestartedMidCompletionKeepsPassSnapshot)
+{
+    Fixture f(decode_cfg());
+    auto a = make_req(1, 512, 2); // finishes in the first pass
+    a.generated = 1;
+    auto b = make_req(2, 512, 6);
+    b.generated = 1;
+    auto c = make_req(3, 512, 6);
+    c.generated = 1;
+    double restart = -1.0;
+    f.inst->callbacks.on_finished = [&](wl::Request *r) {
+        f.finished.push_back(r);
+        if (r == &a) {
+            restart = f.s.now();
+            f.inst->enqueue_decode(&c, false);
+            f.inst->pump();
+        }
+    };
+    int steps = 0;
+    f.inst->callbacks.on_step = [&] {
+        if (++steps != 1)
+            return;
+        EXPECT_EQ(b.generated, 2u); // walked after the restart
+        EXPECT_EQ(c.generated, 1u); // in the new pass only
+        EXPECT_EQ(c.decode_start_time, restart);
+        EXPECT_TRUE(f.inst->groups()[0].busy);
+    };
+    f.s.schedule(0.0, [&] {
+        f.inst->enqueue_decode(&a, false);
+        f.inst->enqueue_decode(&b, false);
+    });
+    f.s.run();
+    EXPECT_GT(restart, 0.0);
+    ASSERT_EQ(f.finished.size(), 3u);
+    EXPECT_EQ(b.generated, 6u);
+    EXPECT_EQ(c.generated, 6u);
+    EXPECT_EQ(f.inst->blocks().used_blocks(), 0u);
+}
+
 TEST(InstanceDecode, KvGrowsWithGeneration)
 {
     Fixture f(decode_cfg());
