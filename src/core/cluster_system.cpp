@@ -371,33 +371,8 @@ ClusterServeSystem::maybe_redispatch_remote(Pod &src, Request *r)
 void
 ClusterServeSystem::attach(const engine::Attachments &at)
 {
-    if (at.telemetry) {
-        telemetry_tick_ = std::max(at.telemetry->config().sample_every, 0.0);
-        for (auto &s : pod_sims_)
-            at.telemetry->arm_lp(*s); // attribute pod events too
-    }
-    if (!pod_sims_.empty()) {
-        // Each logical process traces and journals into private shards
-        // stamped with its own clock (the masters read the hub clock,
-        // which lags inside a window); replay() merges them back in
-        // pod order.
-        trace_master_ = at.trace;
-        journal_master_ = at.journal;
-    }
-    for (std::size_t k = 0; k < pods_.size(); ++k) {
-        engine::Attachments pod_at = at;
-        if (trace_master_) {
-            trace_shards_.push_back(
-                std::make_unique<obs::TraceRecorder>(*pod_sims_[k]));
-            pod_at.trace = trace_shards_.back().get();
-        }
-        if (journal_master_) {
-            journal_shards_.push_back(
-                std::make_unique<obs::DecisionJournal>());
-            pod_at.journal = journal_shards_.back().get();
-        }
-        pods_[k]->attach(pod_at, "pod=\"" + std::to_string(k) + "\"");
-    }
+    for (std::size_t k = 0; k < pods_.size(); ++k)
+        pods_[k]->attach(at, "pod=\"" + std::to_string(k) + "\"");
     for (auto &nic : nics_) {
         nic->attach(at, "interconnect", nic->name());
         if (at.faults)
@@ -405,9 +380,6 @@ ClusterServeSystem::attach(const engine::Attachments &at)
         if (at.telemetry)
             nic->register_metrics(at.telemetry->registry());
     }
-    // The control plane runs on the hub timeline; its failover
-    // decisions journal straight into the master (merge_shards
-    // stable-sorts, keeping master entries first on time ties).
     if (ctrl_)
         ctrl_->attach(at);
     if (at.faults)
@@ -569,7 +541,6 @@ ClusterServeSystem::replay(const std::vector<workload::Request> &trace,
         // handlers see pod state up to one window ahead (a 2x2 cluster
         // of 300 requests fires 9,398 events at 1 ms, 8,609 at 10 ms).
         lc.window = 1e-3;
-        lc.tick = telemetry_tick_;
         lp_ = std::make_unique<sim::LpScheduler>(sim_, lc);
         for (auto &s : pod_sims_)
             lp_->add_lp(*s);
@@ -581,22 +552,6 @@ ClusterServeSystem::replay(const std::vector<workload::Request> &trace,
         lp_->run_until(horizon);
     else
         sim_.run_until(horizon);
-    // Fold the per-pod observability shards back into the shared
-    // exports, in pod order, BEFORE run() appends request lifecycles
-    // and counter tracks. Each shard stamped its events with its own
-    // pod clock (the hub clock lags inside a window), and the merge
-    // fixes the tie order at equal times: master first, then pod index.
-    if (trace_master_) {
-        for (auto &shard : trace_shards_)
-            trace_master_->absorb_shard(*shard);
-    }
-    if (journal_master_) {
-        std::vector<obs::DecisionJournal *> shards;
-        shards.reserve(journal_shards_.size());
-        for (auto &s : journal_shards_)
-            shards.push_back(s.get());
-        journal_master_->merge_shards(shards);
-    }
 }
 
 void

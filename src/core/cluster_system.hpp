@@ -51,8 +51,6 @@
 #include "ctrl/control_plane.hpp"
 #include "engine/serving_system.hpp"
 #include "hw/topology.hpp"
-#include "obs/decision_journal.hpp"
-#include "obs/trace_recorder.hpp"
 #include "simcore/lp.hpp"
 
 namespace windserve::core {
@@ -240,16 +238,6 @@ class ClusterServeSystem : public engine::ServingSystem
     std::unique_ptr<sim::LpScheduler> lp_;
     /** cluster_lookahead_floor(topo_); 0 for single-pod clusters. */
     double ctl_latency_ = 0.0;
-    /** Telemetry sample period, captured by attach() so the LP
-     *  windows never run a pod past a pending sample tick. */
-    double telemetry_tick_ = 0.0;
-    /** Per-pod observability shards (multi-pod): each stamps its
-     *  pod's own clock, and the merge at replay end fixes the order
-     *  of equal-time entries (master first, then pod index). */
-    obs::TraceRecorder *trace_master_ = nullptr;
-    std::vector<std::unique_ptr<obs::TraceRecorder>> trace_shards_;
-    obs::DecisionJournal *journal_master_ = nullptr;
-    std::vector<std::unique_ptr<obs::DecisionJournal>> journal_shards_;
     /** Egress NIC per node (absent for a single-node cluster). */
     std::vector<std::unique_ptr<hw::SharedChannel>> nics_;
     CrossPodBalancer balancer_;

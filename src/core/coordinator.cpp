@@ -124,8 +124,8 @@ Coordinator::decide_dispatch(const workload::Request &r,
             audit_->on_dispatch(r.id, r.prompt_tokens, slots);
         if (trace_) {
             trace_->instant(
-                obs::Category::Scheduler, "scheduler", "coordinator",
-                "dispatch-to-decode",
+                log_now(), obs::Category::Scheduler, "scheduler",
+                "coordinator", "dispatch-to-decode",
                 {obs::num_arg("req", std::uint64_t(r.id)),
                  obs::num_arg("tokens", std::uint64_t(r.prompt_tokens)),
                  obs::num_arg("predicted_ttft", ttft_pred)});
@@ -208,8 +208,8 @@ Coordinator::maybe_reschedule(engine::Instance &decode,
     }
     if (trace_) {
         trace_->instant(
-            obs::Category::Scheduler, "scheduler", "coordinator",
-            "reschedule",
+            log_now(), obs::Category::Scheduler, "scheduler",
+            "coordinator", "reschedule",
             {obs::num_arg("req", std::uint64_t(victim->id)),
              obs::num_arg("ctx", std::uint64_t(victim->context_length())),
              obs::num_arg("decode_occupancy",

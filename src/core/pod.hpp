@@ -143,8 +143,9 @@ class Pod
      * With at.telemetry set, registers the metric families; @p pod_label
      * (`pod="k"`) tags the per-pod scheduler/migration/backup series,
      * while channel and instance series are already unique via
-     * name_prefix. In a multi-pod cluster at.trace and at.journal are
-     * the pod's private shards (see ClusterServeSystem).
+     * name_prefix. at.trace and at.journal are the run's own, shared
+     * by every pod; the pod's components stamp them with the pod's
+     * simulator time.
      */
     void attach(const engine::Attachments &at, const std::string &pod_label);
 

@@ -6,11 +6,11 @@
  *
  * ServingSystem::run() builds the instruments a RunOptions asks for
  * and hands one Attachments to the system's attach(), which passes it
- * (or, for a multi-pod cluster, a per-pod copy whose trace and journal
- * are that pod's shards) down to every component in one pass. Each
- * component's attach() copies the pointers it uses into members, so a
- * hot-path check stays one member load and a null pointer keeps the
- * instrument off at zero cost.
+ * as is down to every component in one pass — the pods of a multi-pod
+ * cluster included, each stamping trace events and decisions with its
+ * own simulator's time. Each component's attach() copies the pointers
+ * it uses into members, so a hot-path check stays one member load and
+ * a null pointer keeps the instrument off at zero cost.
  *
  * Forward declarations only: every layer may include this header.
  */
@@ -36,7 +36,7 @@ struct Attachments {
     audit::SimAuditor *audit = nullptr;
     fault::FaultInjector *faults = nullptr;
     obs::Telemetry *telemetry = nullptr;
-    /** The telemetry's decision journal (or a per-pod shard of it). */
+    /** The telemetry's decision journal. */
     obs::DecisionJournal *journal = nullptr;
 };
 

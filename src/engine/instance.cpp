@@ -311,8 +311,8 @@ Instance::try_start_prefill_slots()
         batch.expected_end = sim_.now() + dur;
         if (trace_) {
             trace_->instant(
-                obs::Category::Scheduler, cfg_.name, "local-scheduler",
-                "prefill-batch",
+                sim_.now(), obs::Category::Scheduler, cfg_.name,
+                "local-scheduler", "prefill-batch",
                 {obs::num_arg("requests",
                               std::uint64_t(batch.requests.size())),
                  obs::num_arg("tokens", std::uint64_t(batch.total_tokens))});
@@ -371,8 +371,8 @@ Instance::try_start_sbd_stream()
     dur *= slowdown_;
     if (trace_) {
         trace_->instant(
-            obs::Category::Scheduler, cfg_.name, "local-scheduler",
-            "stream-split",
+            sim_.now(), obs::Category::Scheduler, cfg_.name,
+            "local-scheduler", "stream-split",
             {obs::num_arg("requests", std::uint64_t(batch.size())),
              obs::num_arg("tokens", std::uint64_t(tokens))});
         trace_->span(obs::Category::Gpu, cfg_.name, "sbd-stream",
@@ -462,7 +462,7 @@ Instance::try_start_group(std::size_t g)
                 chunk_head_[g] = cand;
                 if (trace_) {
                     trace_->instant(
-                        obs::Category::Scheduler, cfg_.name,
+                        sim_.now(), obs::Category::Scheduler, cfg_.name,
                         "local-scheduler", "chunk-admit",
                         {obs::num_arg("req", std::uint64_t(cand->id)),
                          obs::num_arg("tokens",
@@ -707,10 +707,13 @@ Instance::swap_out(Request *victim)
     // never accepted.
     if (!swap_.swap_out(victim->id, ctx))
         return false;
+    if (trace_)
+        trace_->counter_at(sim_.now(), cfg_.name, "swap_pool_bytes",
+                           swap_.used_bytes());
     WS_LOG_AT(Debug, cfg_.name, sim_.now())
         << "swap out req " << victim->id << " ctx " << ctx;
     if (trace_) {
-        trace_->instant(obs::Category::Scheduler, cfg_.name,
+        trace_->instant(sim_.now(), obs::Category::Scheduler, cfg_.name,
                         "local-scheduler", "swap-out",
                         {obs::num_arg("req", std::uint64_t(victim->id)),
                          obs::num_arg("ctx", std::uint64_t(ctx))});
@@ -757,11 +760,14 @@ Instance::try_swap_in()
         if (e != epoch_)
             return;
         swap_.swap_in(r->id);
+        if (trace_)
+            trace_->counter_at(sim_.now(), cfg_.name, "swap_pool_bytes",
+                               swap_.used_bytes());
         swapping_in_.erase(r->id);
         swap_ready_.erase(r->id);
         audit::transition(audit_, *r, RequestState::WaitingDecode);
         if (trace_) {
-            trace_->instant(obs::Category::Scheduler, cfg_.name,
+            trace_->instant(sim_.now(), obs::Category::Scheduler, cfg_.name,
                             "local-scheduler", "swap-in",
                             {obs::num_arg("req", std::uint64_t(r->id)),
                              obs::num_arg("ctx", std::uint64_t(ctx))});
@@ -836,8 +842,12 @@ Instance::crash()
     // The host copy of a preempted request is useless once its
     // scheduling state is lost (recovery restarts it); drop it so the
     // pool ledger stays clean.
-    for (kvcache::ReqId id : swap_.holders())
+    for (kvcache::ReqId id : swap_.holders()) {
         swap_.drop(id);
+        if (trace_)
+            trace_->counter_at(sim_.now(), cfg_.name, "swap_pool_bytes",
+                               swap_.used_bytes());
+    }
 
     prefill_q_.clear();
     assist_q_.clear();

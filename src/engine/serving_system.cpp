@@ -84,11 +84,10 @@ register_fault_counters(obs::MetricRegistry &reg,
 void
 ServingSystem::instrument(const RunOptions &opts)
 {
-    instrumented_ = true;
     if (opts.telemetry)
         telemetry_ = std::make_unique<obs::Telemetry>(*opts.telemetry);
     if (opts.tracing)
-        trace_ = std::make_unique<obs::TraceRecorder>(sim_);
+        trace_ = std::make_unique<obs::TraceRecorder>();
     if (opts.audit)
         audit_ = std::make_unique<audit::SimAuditor>(sim_,
                                                      *opts.audit);
@@ -129,6 +128,11 @@ RunResult
 ServingSystem::run(const std::vector<workload::Request> &trace,
                    const RunOptions &opts)
 {
+    // A second replay would fire the first one's leftover events (the
+    // pending arrival, in-flight passes) into requests that are gone.
+    if (ran_)
+        throw std::logic_error(name() + ": run() called twice; a system "
+                               "replays one trace");
     if (!std::isfinite(opts.horizon) || opts.horizon <= 0.0)
         throw std::invalid_argument(
             "RunOptions (" + name() + "): horizon must be finite and > 0, "
@@ -148,8 +152,8 @@ ServingSystem::run(const std::vector<workload::Request> &trace,
                 ", before request " + std::to_string(i - 1) + " at " +
                 std::to_string(trace[i - 1].arrival_time));
     }
-    if (!instrumented_)
-        instrument(opts);
+    ran_ = true;
+    instrument(opts);
     replay(trace, opts.horizon);
 
     if (telemetry_)

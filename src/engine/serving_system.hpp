@@ -134,10 +134,10 @@ class ServingSystem
      * attainment.
      *
      * One-shot: a system instance models a single deployment lifetime;
-     * the per-request results are moved into the returned value. The
-     * attachments belong to the deployment too: a later run() keeps
-     * the first run's and ignores the attachment options.
+     * the per-request results are moved into the returned value.
      *
+     * @throws std::logic_error when the system has run before, before
+     *         anything is validated or attached.
      * @throws std::invalid_argument when opts.horizon is not finite
      *         and > 0, or when an arrival time in @p trace is not
      *         finite or is lower than the one before it (the trace
@@ -205,7 +205,9 @@ class ServingSystem
      *  @p base + @p i. */
     void schedule_arrival(std::uint64_t base, std::size_t i);
 
-    bool instrumented_ = false;
+    /** Set once run() has validated its arguments; a later run()
+     *  throws. */
+    bool ran_ = false;
     std::unique_ptr<obs::Telemetry> telemetry_;
     std::unique_ptr<obs::TraceRecorder> trace_;
     std::unique_ptr<audit::SimAuditor> audit_;

@@ -186,8 +186,8 @@ FaultInjector::crash_instances(const std::vector<engine::Instance *> &insts,
             down_until_.erase(inst);
             inst->repair();
             if (trace_) {
-                trace_->instant(obs::Category::Fault, "fault", inst->name(),
-                                "repaired");
+                trace_->instant(sim_.now(), obs::Category::Fault, "fault",
+                                inst->name(), "repaired");
             }
         });
     }
@@ -203,15 +203,15 @@ FaultInjector::do_link(const FaultEvent &ev)
         ++link_outages_;
         link.set_rate(ev.param);
         if (trace_) {
-            trace_->instant(obs::Category::Fault, "fault", link.name,
-                            "link_down",
+            trace_->instant(sim_.now(), obs::Category::Fault, "fault",
+                            link.name, "link_down",
                             {obs::num_arg("rate_factor", ev.param)});
         }
     } else {
         link.set_rate(1.0);
         if (trace_) {
-            trace_->instant(obs::Category::Fault, "fault", link.name,
-                            "link_up");
+            trace_->instant(sim_.now(), obs::Category::Fault, "fault",
+                            link.name, "link_up");
         }
     }
 }
@@ -226,15 +226,15 @@ FaultInjector::do_straggler(const FaultEvent &ev)
         ++straggler_windows_;
         inst->set_slowdown(ev.param);
         if (trace_) {
-            trace_->instant(obs::Category::Fault, "fault", inst->name(),
-                            "straggler_begin",
+            trace_->instant(sim_.now(), obs::Category::Fault, "fault",
+                            inst->name(), "straggler_begin",
                             {obs::num_arg("slowdown", ev.param)});
         }
     } else {
         inst->set_slowdown(1.0);
         if (trace_) {
-            trace_->instant(obs::Category::Fault, "fault", inst->name(),
-                            "straggler_end");
+            trace_->instant(sim_.now(), obs::Category::Fault, "fault",
+                            inst->name(), "straggler_end");
         }
     }
 }
@@ -275,7 +275,8 @@ FaultInjector::abort_request(workload::Request *r)
     recovering_.erase(r->id);
     audit::transition(audit_, *r, workload::RequestState::Aborted);
     if (trace_) {
-        trace_->instant(obs::Category::Fault, "fault", "recovery", "abort",
+        trace_->instant(sim_.now(), obs::Category::Fault, "fault",
+                        "recovery", "abort",
                         {obs::num_arg("req", static_cast<std::uint64_t>(r->id))});
     }
 }
@@ -291,7 +292,8 @@ FaultInjector::note_decode_ready(workload::Request *r)
     ++recoveries_;
     recovering_.erase(it);
     if (trace_) {
-        trace_->instant(obs::Category::Fault, "fault", "recovery", "recovered",
+        trace_->instant(sim_.now(), obs::Category::Fault, "fault",
+                        "recovery", "recovered",
                         {obs::num_arg("req", static_cast<std::uint64_t>(r->id)),
                          obs::num_arg("latency_s", latency)});
     }

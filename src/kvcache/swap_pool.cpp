@@ -4,7 +4,6 @@
 #include <stdexcept>
 
 #include "audit/sim_auditor.hpp"
-#include "obs/trace_recorder.hpp"
 
 namespace windserve::kvcache {
 
@@ -33,8 +32,6 @@ SwapPool::swap_out(ReqId id, std::size_t tokens)
     used_bytes_ += bytes;
     ++swap_out_events_;
     swapped_bytes_total_ += bytes;
-    if (trace_)
-        trace_->counter(owner_, "swap_pool_bytes", used_bytes_);
     return true;
 }
 
@@ -52,8 +49,6 @@ SwapPool::swap_in(ReqId id)
     swapped_bytes_total_ += bytes;
     ++swap_in_events_;
     tokens_.erase(it);
-    if (trace_)
-        trace_->counter(owner_, "swap_pool_bytes", used_bytes_);
 }
 
 void
@@ -69,8 +64,6 @@ SwapPool::drop(ReqId id)
     used_bytes_ -= bytes_for(it->second);
     ++drops_;
     tokens_.erase(it);
-    if (trace_)
-        trace_->counter(owner_, "swap_pool_bytes", used_bytes_);
 }
 
 std::vector<ReqId>
@@ -100,7 +93,6 @@ SwapPool::bytes_for(std::size_t tokens) const
 void
 SwapPool::attach(const engine::Attachments &at, const std::string &owner)
 {
-    trace_ = at.trace;
     audit_ = at.audit;
     owner_ = owner;
 }

@@ -58,11 +58,10 @@ class SwapPool
     std::uint64_t drops() const { return drops_; }
     double swapped_bytes_total() const { return swapped_bytes_total_; }
 
-    /** Emit a host-pool occupancy counter on @p at.trace after every
-     *  swap event, and report every swap event to @p at.audit (hooks
-     *  fire before the pool's own logic_error throws), both under
-     *  @p owner (the instance name). Null pointers (the default)
-     *  disable either. */
+    /** Report every swap event to @p at.audit under @p owner (the
+     *  instance name); the hooks fire before the pool's own
+     *  logic_error throws. A null pointer (the default) disables
+     *  them. The owning instance traces the pool's occupancy. */
     void attach(const engine::Attachments &at, const std::string &owner);
 
   private:
@@ -74,7 +73,6 @@ class SwapPool
     std::uint64_t swap_in_events_ = 0;
     std::uint64_t drops_ = 0;
     double swapped_bytes_total_ = 0.0;
-    obs::TraceRecorder *trace_ = nullptr;
     audit::SimAuditor *audit_ = nullptr;
     std::string owner_;
 };

@@ -7,21 +7,12 @@
 namespace windserve::obs {
 
 void
-DecisionJournal::merge_shards(const std::vector<DecisionJournal *> &shards)
+DecisionJournal::record(Decision d)
 {
-    // Stable sort on time alone == a k-way merge with (existing
-    // entries, shard 0, shard 1, ...) as the tie-break, because every
-    // source is individually monotone in time.
-    for (DecisionJournal *s : shards) {
-        entries_.reserve(entries_.size() + s->entries_.size());
-        for (Decision &d : s->entries_)
-            entries_.push_back(std::move(d));
-        s->entries_.clear();
-    }
-    std::stable_sort(entries_.begin(), entries_.end(),
-                     [](const Decision &a, const Decision &b) {
-                         return a.time < b.time;
-                     });
+    auto at = std::upper_bound(
+        entries_.begin(), entries_.end(), d.time,
+        [](double t, const Decision &e) { return t < e.time; });
+    entries_.insert(at, std::move(d));
 }
 
 const char *
@@ -39,23 +30,6 @@ to_string(DecisionKind k)
     }
     return "unknown";
 }
-
-namespace {
-
-std::string
-json_escape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            out += '\\';
-        out += c;
-    }
-    return out;
-}
-
-} // namespace
 
 std::size_t
 DecisionJournal::count(DecisionKind k) const

@@ -11,11 +11,11 @@
  * the chosen target, so a post-run query can answer "why did request
  * 1042 prefill on the decode instance?" without rerunning.
  *
- * Entries are appended in simulation order by the deciding component
- * (a nullable pointer, the same zero-cost-off pattern as tracing), so
- * the journal is a pure function of (config, workload) — byte-identical
- * at any `--jobs N`. Export targets: a flat CSV (one row per candidate)
- * and a JSON document (one object per decision).
+ * Entries are recorded by the deciding component (a nullable pointer,
+ * the same zero-cost-off pattern as tracing) and kept in time order,
+ * so the journal is a pure function of (config, workload) —
+ * byte-identical at any `--jobs N`. Export targets: a flat CSV (one
+ * row per candidate) and a JSON document (one object per decision).
  */
 #pragma once
 
@@ -62,18 +62,13 @@ class DecisionJournal
     DecisionJournal(const DecisionJournal &) = delete;
     DecisionJournal &operator=(const DecisionJournal &) = delete;
 
-    void record(Decision d) { entries_.push_back(std::move(d)); }
-
     /**
-     * Merge per-pod journal shards (each internally in nondecreasing
-     * time order — one logical process appends monotonically) into
-     * this journal, restoring global time order with shard index as
-     * the tie-break. Used by partitioned systems at end of replay:
-     * each pod journals into a private shard, so entries at equal
-     * times come out master first, then by pod index — not in the
-     * order the LP windows happened to run them. Shards are drained.
+     * Insert @p d after every entry not later than it. Entries come in
+     * time order, so this is an append, except in a multi-pod run when
+     * one pod records ahead of another inside an LP window
+     * (simcore/lp.hpp); equal times keep record order.
      */
-    void merge_shards(const std::vector<DecisionJournal *> &shards);
+    void record(Decision d);
 
     const std::vector<Decision> &entries() const { return entries_; }
     std::size_t size() const { return entries_.size(); }

@@ -13,7 +13,9 @@
  * Sampling is driven by the owning run (obs::Telemetry hooks the
  * Simulator's batch boundary), so a sample at tick τ reflects the state
  * after every event with timestamp <= τ — a pure function of the
- * simulation, byte-identical at any `--jobs N`.
+ * simulation, byte-identical at any `--jobs N`. In a multi-pod run the
+ * sample is taken at an LP window boundary and may also see pod events
+ * up to one window past τ (simcore/lp.hpp).
  *
  * Export targets:
  *  - prometheus_text(): Prometheus exposition format (final values;
@@ -39,6 +41,11 @@ class TraceRecorder;
 /** Shortest exact decimal form of @p v (round-trips through strtod):
  *  integers render as "42", not "42.000...". */
 std::string fmt_num(double v);
+
+/** @p s escaped for the inside of a JSON string literal: `"` and `\`
+ *  backslashed, `\n` and `\t` as such, other control characters as
+ *  `\u00XX`. */
+std::string json_escape(const std::string &s);
 
 /**
  * Log-bucketed histogram: bucket upper bounds grow geometrically from

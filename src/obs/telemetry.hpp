@@ -16,7 +16,11 @@
  * own events, so an instrumented run fires the exact same event
  * sequence as a bare one: request outcomes, metrics and traces are
  * byte-identical with telemetry on or off, and the sampled series are
- * bit-identical at any `--jobs N`.
+ * bit-identical at any `--jobs N`. In a multi-pod run the hook sits on
+ * the hub simulator and the LP engine calls it at every window
+ * boundary, so a sample at tick τ may read pod state up to one LP
+ * window past τ (the same lag every hub handler sees); the windows
+ * themselves never depend on the sampling grid.
  */
 #pragma once
 
@@ -74,18 +78,11 @@ class Telemetry
      * Hook into @p sim: installs the batch-boundary sampler and (if
      * configured) the event-pump profiler. Call after every instrument
      * is registered and before the replay schedules its first event.
+     * A partitioned system passes its hub simulator; the LP engine
+     * lends the hub's profiler to every logical process for the
+     * replay (simcore/lp.hpp).
      */
     void arm(sim::Simulator &sim);
-
-    /**
-     * Attach only the event-pump self-profiler (if configured) to a
-     * logical process's simulator. Partitioned systems (lp.hpp) call
-     * this for every LP kernel so events fired inside LP windows are
-     * attributed too. The batch-boundary sampler stays on the hub
-     * simulator arm() was given: metric sampling must see a globally
-     * consistent state, which only hub batches guarantee.
-     */
-    void arm_lp(sim::Simulator &sim);
 
     /**
      * End-of-run flush: emit the remaining sample ticks up to

@@ -4,7 +4,7 @@
 #include <ostream>
 #include <sstream>
 
-#include "simcore/simulator.hpp"
+#include "obs/metric_registry.hpp"
 #include "workload/request.hpp"
 #include "workload/trace_io.hpp"
 
@@ -48,14 +48,6 @@ TraceArg
 str_arg(std::string key, std::string value)
 {
     return TraceArg{std::move(key), std::move(value), true};
-}
-
-TraceRecorder::TraceRecorder(const sim::Simulator &sim) : sim_(sim) {}
-
-double
-TraceRecorder::now() const
-{
-    return sim_.now();
 }
 
 std::uint32_t
@@ -132,7 +124,7 @@ TraceRecorder::async_span(Category cat, const std::string &process,
 }
 
 void
-TraceRecorder::instant(Category cat, const std::string &process,
+TraceRecorder::instant(double ts, Category cat, const std::string &process,
                        const std::string &track, const std::string &name,
                        std::vector<TraceArg> args)
 {
@@ -140,18 +132,11 @@ TraceRecorder::instant(Category cat, const std::string &process,
     e.phase = 'i';
     e.cat = cat;
     e.name = name;
-    e.ts = now();
+    e.ts = ts;
     e.pid = intern_pid(process);
     e.tid = intern_tid(e.pid, track);
     e.args = std::move(args);
     events_.push_back(std::move(e));
-}
-
-void
-TraceRecorder::counter(const std::string &process, const std::string &name,
-                       double value)
-{
-    counter_at(now(), process, name, value);
 }
 
 void
@@ -223,25 +208,6 @@ TraceRecorder::record_request_lifecycle(const workload::Request &r)
     }
 }
 
-void
-TraceRecorder::absorb_shard(TraceRecorder &shard)
-{
-    events_.reserve(events_.size() + shard.events_.size());
-    for (TraceEvent &e : shard.events_) {
-        if (e.pid != 0) {
-            const std::string &proc = shard.processes_[e.pid - 1];
-            std::uint32_t pid = intern_pid(proc);
-            if (e.tid != 0) {
-                const Track &trk = shard.tracks_[e.tid - 1];
-                e.tid = intern_tid(pid, trk.name);
-            }
-            e.pid = pid;
-        }
-        events_.push_back(std::move(e));
-    }
-    shard.events_.clear();
-}
-
 std::size_t
 TraceRecorder::count(Category cat) const
 {
@@ -267,32 +233,7 @@ emit_us(std::ostream &out, double seconds)
 void
 emit_escaped(std::ostream &out, const std::string &s)
 {
-    out << '"';
-    for (char c : s) {
-        switch (c) {
-          case '"':
-            out << "\\\"";
-            break;
-          case '\\':
-            out << "\\\\";
-            break;
-          case '\n':
-            out << "\\n";
-            break;
-          case '\t':
-            out << "\\t";
-            break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out << buf;
-            } else {
-                out << c;
-            }
-        }
-    }
-    out << '"';
+    out << '"' << json_escape(s) << '"';
 }
 
 void

@@ -2,12 +2,14 @@
  * @file
  * Per-run structured trace recording with Chrome-trace export.
  *
- * A TraceRecorder is owned by one ServingSystem run (no globals), reads
- * its timebase from that system's Simulator, and appends typed events
- * in simulation order — so traces are bit-identical at any `--jobs N`
- * and TSan-clean under the parallel sweep engine. Components hold a
- * nullable `TraceRecorder *` and skip every emission when tracing is
- * off (the null-recorder fast path: one pointer test, zero
+ * A TraceRecorder is owned by one ServingSystem run (no globals) and
+ * has no clock of its own: every emission carries the caller's
+ * simulated time, so components on different simulators (the pods of a
+ * multi-pod cluster) all write into the one recorder. Events are
+ * appended in emission order — so traces are bit-identical at any
+ * `--jobs N` and TSan-clean under the parallel sweep engine. Components
+ * hold a nullable `TraceRecorder *` and skip every emission when
+ * tracing is off (the null-recorder fast path: one pointer test, zero
  * allocations), keeping untraced runs byte-identical to a build without
  * the hooks.
  *
@@ -29,9 +31,6 @@
 
 #include "obs/trace_event.hpp"
 
-namespace windserve::sim {
-class Simulator;
-}
 namespace windserve::workload {
 struct Request;
 }
@@ -42,14 +41,9 @@ namespace windserve::obs {
 class TraceRecorder
 {
   public:
-    /** @param sim the owning run's simulation kernel (timebase). */
-    explicit TraceRecorder(const sim::Simulator &sim);
-
+    TraceRecorder() = default;
     TraceRecorder(const TraceRecorder &) = delete;
     TraceRecorder &operator=(const TraceRecorder &) = delete;
-
-    /** Current simulated time (seconds). */
-    double now() const;
 
     // ------------------------------------------------------------------
     // event emission
@@ -65,16 +59,12 @@ class TraceRecorder
                     const std::string &name, std::uint64_t id, double start,
                     double end, std::vector<TraceArg> args = {});
 
-    /** Instantaneous event at the current simulated time. */
-    void instant(Category cat, const std::string &process,
+    /** Instantaneous event at simulated time @p ts. */
+    void instant(double ts, Category cat, const std::string &process,
                  const std::string &track, const std::string &name,
                  std::vector<TraceArg> args = {});
 
-    /** Counter sample at the current simulated time. */
-    void counter(const std::string &process, const std::string &name,
-                 double value);
-
-    /** Counter sample at an explicit timestamp (series replay). */
+    /** Counter sample at simulated time @p ts. */
     void counter_at(double ts, const std::string &process,
                     const std::string &name, double value);
 
@@ -85,19 +75,6 @@ class TraceRecorder
      * phases that completed plus an "unfinished" instant.
      */
     void record_request_lifecycle(const workload::Request &r);
-
-    /**
-     * Move every event recorded in @p shard into this recorder,
-     * re-interning process/track names into this recorder's tables
-     * (ids differ across recorders). Used by partitioned systems: each
-     * logical process records into a private shard that stamps events
-     * with the LP's own clock (the owner's recorder reads the hub
-     * clock, which lags inside an LP window), and the owner absorbs
-     * the shards in LP order at end of replay. Events are appended in
-     * shard order (the Chrome trace format does not require global ts
-     * order); @p shard is left empty.
-     */
-    void absorb_shard(TraceRecorder &shard);
 
     // ------------------------------------------------------------------
     // introspection & export
@@ -121,7 +98,6 @@ class TraceRecorder
     std::uint32_t intern_pid(const std::string &process);
     std::uint32_t intern_tid(std::uint32_t pid, const std::string &track);
 
-    const sim::Simulator &sim_;
     std::vector<TraceEvent> events_;
 
     struct Track {

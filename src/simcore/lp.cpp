@@ -1,7 +1,6 @@
 #include "simcore/lp.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 
 namespace windserve::sim {
@@ -34,24 +33,16 @@ LpScheduler::effective_window() const
 
 LpScheduler::Window
 LpScheduler::compute_window(SimTime t0, double eff_window, SimTime hub_next,
-                            double tick, SimTime horizon)
+                            SimTime horizon)
 {
     SimTime excl = t0 + eff_window;
     if (hub_next < excl)
         excl = hub_next; // never run past an un-fired hub event
-    // Inclusive boundary candidates: the window always covers t0 itself
-    // (progress guarantee — with W = 0 this is lockstep pumping), and
-    // is truncated inclusively at the first pending telemetry tick or
-    // the horizon, whichever comes first, so neither is overrun.
-    SimTime cap = horizon;
-    if (tick > 0.0) {
-        SimTime tau = std::ceil(t0 / tick) * tick;
-        if (tau < t0) // fp guard: ceil can land one grid step low
-            tau += tick;
-        cap = std::min(cap, tau);
-    }
-    if (cap < excl)
-        return Window{cap, cap};
+    // The window always covers t0 itself (progress guarantee — with
+    // W = 0 this is lockstep pumping), and is truncated inclusively at
+    // the horizon so events at exactly the horizon still fire.
+    if (horizon < excl)
+        return Window{horizon, horizon};
     return Window{excl, t0};
 }
 
@@ -87,8 +78,8 @@ LpScheduler::run_until(SimTime horizon)
         }
         // Window phase: hub_next > t0, so some LP owns the minimum.
         hub_.notify_batch(t0); // emit telemetry ticks strictly below t0
-        const Window w = compute_window(t0, effective_window(), hub_next,
-                                        cfg_.tick, horizon);
+        const Window w =
+            compute_window(t0, effective_window(), hub_next, horizon);
         ++windows_;
         // Pop exactly the LPs run_window would fire anything on.
         due_.clear();
@@ -126,6 +117,7 @@ LpScheduler::attach()
     for (std::size_t i = 0; i < lps_.size(); ++i) {
         lps_[i].sim->lp_ = &clock_;
         lps_[i].sim->lp_index_ = i;
+        lps_[i].sim->prof_ = hub_.prof_;
         lps_[i].pos = npos;
         rekey(i);
     }
@@ -141,6 +133,7 @@ LpScheduler::detach()
     for (Lp &lp : lps_) {
         lp.sim->advance_to(clock_.floor);
         lp.sim->lp_ = nullptr;
+        lp.sim->prof_ = nullptr;
     }
 }
 

@@ -25,9 +25,9 @@
  *    schedule() calls are relative to that value. The floor only rises
  *    and stays up after the phase.
  *  - Otherwise a WINDOW PHASE pops the LPs whose next event is due in
- *    [t0, end], end = min(t0 + W, hub_next, next telemetry tick,
- *    horizon), where W = max(lookahead, window quantum), and runs only
- *    those, one after another in LP index order; idle LPs are neither
+ *    [t0, end], end = min(t0 + W, hub_next, horizon), where
+ *    W = max(lookahead, window quantum), and runs only those, one
+ *    after another in LP index order; idle LPs are neither
  *    run nor polled. The lookahead floor is derived from the minimum
  *    cross-LP link latency (see core::cluster_lookahead_floor); the
  *    window quantum amortizes barrier cost when the floor is tiny.
@@ -45,9 +45,11 @@
  * A t0 off by any amount would shift window bounds and change results.
  *
  * The clock floor and the touch list live in an LpClock that each LP
- * simulator points to only for the duration of run_until(); on every
- * exit, a throw included, the LPs are advanced to the floor and
- * detached, so no LP outlives its scheduler holding a pointer into it.
+ * simulator points to only for the duration of run_until(), along with
+ * the hub's event-pump profiler (if any), so events fired inside LP
+ * windows are attributed too. On every exit, a throw included, the LPs
+ * are advanced to the floor and detached from both, so no LP outlives
+ * its scheduler holding a pointer into it.
  * An LP event that throws ends the run at once; LPs later in index
  * order do not run that window.
  *
@@ -63,10 +65,12 @@
  * state up to W ahead of their own timestamp (bounded staleness); that
  * skew is part of the deterministic semantics.
  *
- * Telemetry: windows are clamped so they never fire past a pending
- * sampling tick; the scheduler calls hub notify_batch(t0) at every
- * boundary, so the registry samples each tick τ after all events ≤ τ
- * and before any event > τ — exactly the sequential hook contract.
+ * Telemetry observes and never shapes the run: the scheduler calls hub
+ * notify_batch(t0) at every window boundary, so the registry samples
+ * each tick τ after every event ≤ τ has fired, and possibly after pod
+ * events up to one window past τ (the hub handlers' bounded staleness).
+ * Window bounds do not depend on the sampling grid, so an instrumented
+ * run fires the same events as a bare one.
  */
 #pragma once
 
@@ -89,9 +93,6 @@ class LpScheduler
         /// Bounded-lag quantum: effective window W = max(lookahead,
         /// window). 0 with 0 lookahead = lockstep pumping.
         double window = 1e-3;
-        /// Telemetry sampling grid (seconds); windows never fire past
-        /// a pending tick. 0 disables the clamp.
-        double tick = 0.0;
     };
 
     /** Window bounds: fire events with time < excl or time <= incl. */
@@ -131,8 +132,7 @@ class LpScheduler
      * next pending time (infinity when idle; > t0 in a window phase).
      */
     static Window compute_window(SimTime t0, double eff_window,
-                                 SimTime hub_next, double tick,
-                                 SimTime horizon);
+                                 SimTime hub_next, SimTime horizon);
 
     // ------------------------------------------------------------------
     // run counters (diagnostics; deterministic for a deterministic run)

@@ -125,10 +125,11 @@ class Simulator
      * Drain one conservative-lookahead window (see lp.hpp): fire events
      * while the next timestamp is strictly below @p excl, or at most
      * @p incl (the window may include one inclusive boundary point, used
-     * for tick clamping and zero-lookahead progress). The batch hook is
+     * for the horizon and zero-lookahead progress). The batch hook is
      * NOT invoked — telemetry ticks are driven by the LP scheduler via
-     * notify_batch() so the hub hook sees every window boundary exactly
-     * once. @return the number of events fired.
+     * the hub's notify_batch() at every window boundary, so they
+     * observe the windows and never bound them. @return the number of
+     * events fired.
      */
     std::uint64_t run_window(SimTime excl, SimTime incl);
 

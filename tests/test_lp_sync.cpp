@@ -104,38 +104,21 @@ TEST(LookaheadFloor, ClusterSystemAdoptsTheFloorAsControlLatency)
 
 TEST(LpWindow, PlainWindowExtendsOneQuantum)
 {
-    auto w = LpScheduler::compute_window(1.0, 0.5, kInf, 0.0, 100.0);
+    auto w = LpScheduler::compute_window(1.0, 0.5, kInf, 100.0);
     EXPECT_DOUBLE_EQ(w.excl, 1.5);
     EXPECT_DOUBLE_EQ(w.incl, 1.0);
 }
 
 TEST(LpWindow, NeverRunsPastAPendingHubEvent)
 {
-    auto w = LpScheduler::compute_window(1.0, 0.5, 1.2, 0.0, 100.0);
+    auto w = LpScheduler::compute_window(1.0, 0.5, 1.2, 100.0);
     EXPECT_DOUBLE_EQ(w.excl, 1.2);
-    EXPECT_DOUBLE_EQ(w.incl, 1.0);
-}
-
-TEST(LpWindow, NeverRunsPastAPendingTelemetryTick)
-{
-    // Next tick at 1.25 truncates the window inclusively: events at
-    // exactly the tick still belong to this window, events past it
-    // must wait for the sample.
-    auto w = LpScheduler::compute_window(1.1, 0.5, kInf, 0.25, 100.0);
-    EXPECT_DOUBLE_EQ(w.excl, 1.25);
-    EXPECT_DOUBLE_EQ(w.incl, 1.25);
-}
-
-TEST(LpWindow, TickLandingOnT0IsItsOwnWindow)
-{
-    auto w = LpScheduler::compute_window(1.0, 0.5, kInf, 0.25, 100.0);
-    EXPECT_DOUBLE_EQ(w.excl, 1.0);
     EXPECT_DOUBLE_EQ(w.incl, 1.0);
 }
 
 TEST(LpWindow, HorizonTruncatesInclusively)
 {
-    auto w = LpScheduler::compute_window(1.0, 0.5, kInf, 0.0, 1.3);
+    auto w = LpScheduler::compute_window(1.0, 0.5, kInf, 1.3);
     EXPECT_DOUBLE_EQ(w.excl, 1.3);
     EXPECT_DOUBLE_EQ(w.incl, 1.3);
 }
@@ -144,7 +127,7 @@ TEST(LpWindow, ZeroQuantumDegeneratesToLockstep)
 {
     // W = 0: the window still covers t0 itself (progress guarantee),
     // and nothing else — conservative sequential pumping.
-    auto w = LpScheduler::compute_window(2.0, 0.0, kInf, 0.0, 100.0);
+    auto w = LpScheduler::compute_window(2.0, 0.0, kInf, 100.0);
     EXPECT_DOUBLE_EQ(w.excl, 2.0);
     EXPECT_DOUBLE_EQ(w.incl, 2.0);
 }

@@ -235,6 +235,52 @@ TEST(StallFreeMigration, MigratedRequestResumesAndFinishesAtTarget)
     EXPECT_GE(f.prefill->decode_iterations(), 1u);
 }
 
+TEST(StallFreeMigration, TargetCrashAbortsPausedAndDecodingMigrations)
+{
+    MigFixture f({}, 0.2e9); // slow link: both copies still in flight
+    // a: a backup covers all but ~50 tokens, so it pauses at the first
+    // source step; b ships its whole context and keeps decoding.
+    auto a = decode_req(1, 1000, 300);
+    auto b = decode_req(2, 1500, 300);
+    f.registry.record(1, 950);
+    f.prefill->blocks().allocate(1, 950);
+    f.s.schedule(0.0, [&] {
+        f.decode->enqueue_decode(&a, false);
+        f.decode->enqueue_decode(&b, false);
+    });
+    f.s.schedule(0.1, [&] {
+        ASSERT_TRUE(f.mig->start(&a));
+        ASSERT_TRUE(f.mig->start(&b));
+    });
+    f.s.schedule(0.2, [&] {
+        ASSERT_EQ(f.mig->active(), 2u);
+        EXPECT_FALSE(f.decode->is_decoding(&a)); // paused
+        EXPECT_TRUE(f.decode->is_decoding(&b));
+        const std::size_t queued = f.decode->waiting_decode_requests();
+        f.prefill->crash();
+        f.mig->on_target_crash();
+        EXPECT_EQ(f.mig->aborted(), 2u);
+        EXPECT_EQ(f.mig->active(), 0u);
+        // The paused request is handed back to the source.
+        EXPECT_TRUE(f.decode->is_decoding(&a) ||
+                    f.decode->waiting_decode_requests() == queued + 1);
+    });
+    f.s.run_until(120.0);
+    // The in-flight copies drained into no active entry: no-ops.
+    EXPECT_EQ(f.mig->completed(), 0u);
+    EXPECT_EQ(f.mig->aborted(), 2u);
+    EXPECT_TRUE(f.migrated.empty());
+    // Both finish at the source with every token.
+    ASSERT_TRUE(a.finished());
+    ASSERT_TRUE(b.finished());
+    EXPECT_EQ(a.generated, 300u);
+    EXPECT_EQ(b.generated, 300u);
+    EXPECT_EQ(a.migrations, 0u);
+    EXPECT_EQ(b.migrations, 0u);
+    EXPECT_EQ(f.finished.size(), 2u);
+    EXPECT_EQ(f.prefill->decode_iterations(), 0u);
+}
+
 TEST(BackupManager, BacksUpLongRunningRequests)
 {
     MigFixture f({}, 23e9);

@@ -460,6 +460,33 @@ expect_golden(const std::string &got, const std::string &path)
     EXPECT_FALSE(std::getline(gs, g)) << "extra line: " << g;
 }
 
+/** A re-dispatch decision precedes the dispatch it triggers: no
+ *  request in @p journal_csv has a `dispatch` row before a
+ *  `redispatch` row at the same timestamp, whichever pod recorded
+ *  them. */
+void
+expect_redispatch_before_dispatch(const std::string &journal_csv)
+{
+    std::set<std::pair<std::string, std::string>> dispatched;
+    std::istringstream in(journal_csv);
+    std::string line;
+    std::getline(in, line); // header
+    while (std::getline(in, line)) {
+        std::istringstream row(line);
+        std::string time, kind, request;
+        std::getline(row, time, ',');
+        std::getline(row, kind, ',');
+        std::getline(row, request, ',');
+        if (kind == "dispatch") {
+            dispatched.emplace(time, request);
+        } else if (kind == "redispatch") {
+            EXPECT_EQ(dispatched.count({time, request}), 0u)
+                << "request " << request << " dispatched before its "
+                << "re-dispatch at t = " << time;
+        }
+    }
+}
+
 } // namespace
 
 // Exact pin of the LP engine's output: all three systems on a 4-node
@@ -494,6 +521,7 @@ TEST(LpExports, ChaosCellsMatchGoldenDigests)
         ASSERT_EQ(r.audit_violations, 0u) << hs::to_string(kind);
         ASSERT_GT(r.metrics.instance_crashes, 0u) << hs::to_string(kind);
         ASSERT_GT(r.metrics.straggler_windows, 0u) << hs::to_string(kind);
+        expect_redispatch_before_dispatch(r.journal_csv);
         for (const auto &[key, value] : chaos_digests(r))
             got << hs::to_string(kind) << "." << key << " " << value
                 << "\n";

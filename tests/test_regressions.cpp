@@ -600,3 +600,40 @@ TEST(Regression, UnsortedTraceRejected)
         EXPECT_NE(sys->audit(), nullptr) << sys->name();
     }
 }
+
+// Bug 14 (second run): a replay stopped at the horizon leaves its
+// pending arrival and in-flight passes in the queue, and a second run()
+// fired them into the new run's requests (ASan: heap-buffer-overflow in
+// Instance::enqueue_prefill, the leftover arrival indexing a shorter
+// request vector). A system replays one trace: the second run() throws,
+// naming the system, before it validates or attaches anything.
+TEST(Regression, SecondRunRejected)
+{
+    wl::TraceConfig tc;
+    tc.dataset = wl::DatasetConfig::sharegpt();
+    tc.arrival.rate = 4.0;
+    tc.num_requests = 40;
+    const auto trace = wl::TraceBuilder(tc).build();
+    tc.num_requests = 10;
+    const auto second = wl::TraceBuilder(tc).build();
+
+    bl::BaselineSystem sys(bl::DistServeConfig{});
+    eng::RunOptions opts;
+    opts.horizon = trace[20].arrival_time;
+    auto first = sys.run(trace, opts);
+    EXPECT_LT(first.metrics.num_finished, trace.size());
+
+    // A bad horizon would be rejected too, but only after the check.
+    opts.horizon = -1.0;
+    opts.tracing = true;
+    try {
+        sys.run(second, opts);
+        FAIL() << "second run() did not throw";
+    } catch (const std::invalid_argument &e) {
+        FAIL() << "validated before the second-run check: " << e.what();
+    } catch (const std::logic_error &e) {
+        EXPECT_NE(std::string(e.what()).find(sys.name()), std::string::npos)
+            << e.what();
+    }
+    EXPECT_EQ(sys.trace(), nullptr);
+}

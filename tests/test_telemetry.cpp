@@ -316,6 +316,29 @@ TEST(Telemetry, OffRunIsByteIdenticalToInstrumentedRun)
     EXPECT_EQ(a.metric_samples, 0u);
     EXPECT_FALSE(b.metrics_prometheus.empty());
     EXPECT_GT(b.metric_samples, 0u);
+
+    // A 2 x 2 cluster runs its pods as LPs (simcore/lp.hpp): sampling
+    // must not bound the LP windows, or the instrumented run fires a
+    // different event sequence.
+    hs::ExperimentConfig lp_off = telem_cell();
+    lp_off.telemetry.reset();
+    lp_off.num_nodes = 2;
+    lp_off.pods_per_node = 2;
+    lp_off.per_gpu_rate = 1.2;
+    lp_off.num_requests = 400;
+    lp_off.seed = 4;
+    lp_off.offload_highwater = 0.10;
+    lp_off.offload_lowwater = 0.08;
+    hs::ExperimentConfig lp_on = lp_off;
+    lp_on.telemetry = obs::TelemetryConfig{};
+    lp_on.telemetry->sample_every = 0.1;
+    auto c = hs::run_experiment(lp_off);
+    auto d = hs::run_experiment(lp_on);
+    EXPECT_EQ(c.events_fired, d.events_fired);
+    EXPECT_EQ(c.metrics.ttft.values(), d.metrics.ttft.values());
+    EXPECT_EQ(c.metrics.tpot.values(), d.metrics.tpot.values());
+    EXPECT_EQ(c.metrics.e2e.values(), d.metrics.e2e.values());
+    EXPECT_GT(d.metric_samples, 0u);
 }
 
 TEST(Telemetry, ExportsByteIdenticalAcrossJobCounts)

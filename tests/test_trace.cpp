@@ -343,6 +343,19 @@ TEST(Trace, ChromeJsonRoundTripsThroughParser)
     // process/thread naming on top.
     EXPECT_EQ(payload, rec.num_events());
     EXPECT_GT(metadata, 0u);
+
+    // The decision journal's JSON export shares the recorder's string
+    // escaper: control characters in a reason or a target still parse.
+    obs::DecisionJournal j;
+    obs::Decision d;
+    d.reason = "line\nbreak";
+    d.candidates.push_back(obs::DecisionOption{"tab\tbed", true, {}});
+    d.chosen = d.candidates[0].target;
+    j.record(std::move(d));
+    auto jdoc = JsonParser(j.json()).parse();
+    const auto &dec = jdoc.at("decisions").items.at(0);
+    EXPECT_EQ(dec.at("reason").str, "line break");
+    EXPECT_EQ(dec.at("candidates").items.at(0).at("target").str, "tab bed");
 }
 
 TEST(Trace, ByteIdenticalAcrossSweepThreadCounts)
@@ -396,26 +409,6 @@ TEST(Trace, DisabledTracingIsFreeAndChangesNothing)
 // RunOptions::tracing is the only attachment path (the deprecated
 // enable_*() shims are gone): the recorder appears during run() and a
 // second tracing run on the same system reuses it.
-TEST(Trace, RunOptionsTracingAttachesOnce)
-{
-    auto cfg = small_cell();
-    auto sys = harness::make_system(cfg);
-    EXPECT_EQ(sys->trace(), nullptr);
-
-    engine::RunOptions opts;
-    opts.tracing = true;
-    opts.slo = cfg.scenario.slo;
-    opts.horizon = cfg.horizon;
-    sys->run(harness::make_trace(cfg), opts);
-    auto *first = sys->trace();
-    ASSERT_NE(first, nullptr);
-
-    // A second tracing run on the same system reuses the recorder
-    // instead of attaching a second one.
-    sys->run(harness::make_trace(cfg), opts);
-    EXPECT_EQ(sys->trace(), first);
-}
-
 TEST(Trace, RequestCsvMatchesResultsSchema)
 {
     auto cfg = small_cell();
@@ -432,8 +425,7 @@ TEST(Trace, RequestCsvMatchesResultsSchema)
 
 TEST(Trace, CounterEventsCarryExplicitTimestamps)
 {
-    sim::Simulator s;
-    obs::TraceRecorder rec(s);
+    obs::TraceRecorder rec;
     rec.counter_at(1.5, "timeline", "queue_depth", 3.0);
     rec.counter_at(2.5, "timeline", "queue_depth", 5.0);
     ASSERT_EQ(rec.num_events(), 2u);
